@@ -57,9 +57,10 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable kernel/engine benchmarks (see cmd/hcbench -bench).
+# Machine-readable kernel/engine benchmarks (see cmd/hcbench -bench); this
+# re-baselines the committed BENCH_spectral.json.
 bench-json:
-	$(GO) run ./cmd/hcbench -bench BENCH_kernels.json
+	$(GO) run ./cmd/hcbench -bench BENCH_spectral.json
 
 # Compare two benchmark reports and fail on >BENCH_THRESHOLD regressions in
 # ns/op or allocs/op per kernel. Typical use:

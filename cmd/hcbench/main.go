@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hcbench [-list] [-md] [-parallel N] [experiment ...]
-//	hcbench -bench BENCH_kernels.json
+//	hcbench -bench BENCH_spectral.json
 //
 // Experiments run on the bounded worker pool of internal/parallel; -parallel
 // sets the worker count (0 selects GOMAXPROCS, 1 forces the sequential
@@ -56,7 +56,7 @@ func run() (code int) {
 	gateP99 := flag.Bool("gatep99", false, "benchdiff: additionally gate the serving report's warm p99 (opt-in; tails are noisy)")
 	p99Threshold := flag.Float64("p99threshold", 3.0, "benchdiff: fractional warm-p99 regression that fails when -gatep99 is set")
 	wirebench := flag.String("wirebench", "", "run the request-decode micro-benchmarks (stdlib JSON vs streaming vs binary) and merge a decode_bench section into this serving report file (\"-\" for stdout)")
-	scalebench := flag.String("scalebench", "", "run the fleet-scale sweep (Gram, spectral, tiled balance, characterize, downdate) and write a scale report to this file (\"-\" for stdout)")
+	scalebench := flag.String("scalebench", "", "run the fleet-scale sweep (Gram, spectral, tiled balance, characterize) and write a scale report to this file (\"-\" for stdout)")
 	scaleSizes := flag.String("sizes", "1000,4000,10000", "scalebench: comma-separated matrix edges to sweep")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")

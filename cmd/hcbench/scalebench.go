@@ -21,8 +21,7 @@ import (
 // The -scalebench mode measures the fleet-scale numeric core at environment
 // sizes far past the kernel suite's 60×40 shapes: the blocked Gram kernels
 // (serial and parallel), the values-only spectral pipeline, the tiled
-// Sinkhorn balance passes, an end-to-end characterization, and the
-// incremental downdating path against a full recompute. The report is
+// Sinkhorn balance passes and an end-to-end characterization. The report is
 // machine-readable ("kind": "scale") and diffs through -benchdiff: records
 // at the gate size (1000) fail the diff on an ns/op regression past the
 // threshold, larger sizes are informational — a 4k or 10k run takes minutes
@@ -201,42 +200,9 @@ func runScaleBench(path, sizesCSV string) error {
 				Note: fmt.Sprintf("O(n³) spectral and characterize stages not measured past %d", scaleSpectralMax),
 			})
 		}
-
-		if n == scaleGateSize {
-			// Incremental downdating vs full recompute: what one leave-one-out
-			// delta costs through each path. The Downdater's eigensystem build
-			// is paid once before timing, matching its amortized use.
-			dd := linalg.NewDowndater(a)
-			var sv []float64
-			sv = dd.DropRowValues(0, sv[:0]) // pay the one-time eigensystem build
-			add("Scale/downdate/droprow", n, testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sv = dd.DropRowValues(i%n, sv[:0])
-				}
-			}), "")
-			sub := dropRow(a, 0)
-			ws := linalg.NewWorkspace()
-			var buf []float64
-			add("Scale/downdate/recompute", n, testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					buf = linalg.AppendSingularValues(buf[:0], sub, ws)
-				}
-			}), "")
-		}
 	}
 
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// dropRow returns a copy of a without row i.
-func dropRow(a *matrix.Dense, i int) *matrix.Dense {
-	r, c := a.Dims()
-	out := matrix.New(r-1, c)
-	src := a.RawData()
-	dst := out.RawData()
-	copy(dst, src[:i*c])
-	copy(dst[i*c:], src[(i+1)*c:])
-	return out
 }

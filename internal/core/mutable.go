@@ -8,14 +8,14 @@ package core
 // The mechanism is seed-chaining. Every solve leaves behind the converged
 // Sinkhorn scaling diagonals and subdominant singular value of its standard
 // form (etcmat.Env.StandardFormSeed); each mutation transports that seed to
-// the edited shape — DropRow/DropCol with a Downdater-refreshed σ₂ for
-// structural removals (the leave-one-out machinery of whatif.go), AppendRow/
-// AppendCol with a targets-derived scaling for additions, a closed-form
-// rescale for weight updates, untouched for cell edits — and the next solve
-// starts from it with σ₂-tuned over-relaxation. Because the Sinkhorn scaling
-// is unique (Theorem 1), the seeded result is the cold result; only the
-// round count changes, so incremental profiles match cold recomputation to
-// the convergence tolerance (property-tested at 1e-10).
+// the edited shape — DropRow/DropCol carrying the baseline σ₂ for structural
+// removals (the leave-one-out seeds of whatif.go), AppendRow/AppendCol with
+// a targets-derived scaling for additions, a closed-form rescale for weight
+// updates, untouched for cell edits — and the next solve starts from it
+// with σ₂-tuned over-relaxation. Because the Sinkhorn scaling is unique
+// (Theorem 1), the seeded result is the cold result; only the round count
+// changes, so incremental profiles match cold recomputation to the
+// convergence tolerance (property-tested at 1e-10).
 //
 // Seeding is best-effort, never load-bearing: mutations accumulate drift
 // (the weighted mass each one moved, relative to the matrix total), and once
@@ -191,9 +191,8 @@ func (me *MutableEnv) AddMachine(ctx context.Context, name string, speeds []floa
 	return p, warm, nil
 }
 
-// DropTask removes task type i. The seed drops the row's scaling and, at
-// fleet scale, refreshes σ₂ through the spectral downdating path (the same
-// seedRefresher the leave-one-out sweep uses).
+// DropTask removes task type i. The seed drops the row's scaling and carries
+// the baseline σ₂, exactly as the leave-one-out sweep seeds its removals.
 func (me *MutableEnv) DropTask(ctx context.Context, i int) (*Profile, bool, error) {
 	if i < 0 || i >= me.env.Tasks() {
 		return nil, false, fmt.Errorf("%w: task index %d out of range [0,%d)", etcmat.ErrInvalid, i, me.env.Tasks())
@@ -207,7 +206,7 @@ func (me *MutableEnv) DropTask(ctx context.Context, i int) (*Profile, bool, erro
 	for _, s := range rows {
 		total += s
 	}
-	seed := newSeedRefresher(me.env, me.seed).dropRow(me.seed, i)
+	seed := me.seed.DropRow(i)
 	p, warm := me.step(ctx, next, seed, rows[i]/total)
 	return p, warm, nil
 }
@@ -226,7 +225,7 @@ func (me *MutableEnv) DropMachine(ctx context.Context, j int) (*Profile, bool, e
 	for _, s := range cols {
 		total += s
 	}
-	seed := newSeedRefresher(me.env, me.seed).dropCol(me.seed, j)
+	seed := me.seed.DropCol(j)
 	p, warm := me.step(ctx, next, seed, cols[j]/total)
 	return p, warm, nil
 }

@@ -151,6 +151,59 @@ func TestMutableEnvMatchesColdRecompute(t *testing.T) {
 	}
 }
 
+// TestMutableEnvDropsAtFleetShape runs the structural removals at a fleet
+// shape (short side >= 256): each drop is served incrementally from the
+// baseline seed with the carried-over σ₂, matches a cold solve of the same
+// environment to 1e-10, and needs no more Sinkhorn rounds than that solve.
+func TestMutableEnvDropsAtFleetShape(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(920))
+	// Log-normal speeds spanning decades make the balance take real work.
+	rows := make([][]float64, 288)
+	for i := range rows {
+		rows[i] = make([]float64, 256)
+		for j := range rows[i] {
+			rows[i][j] = math.Exp(2 * rng.NormFloat64())
+		}
+	}
+	me := NewMutableEnv(ctx, etcmat.MustFromECS(rows), 0)
+	defer me.Close()
+	for _, drop := range []struct {
+		name string
+		do   func() (*Profile, bool, error)
+	}{
+		{"drop_task", func() (*Profile, bool, error) { return me.DropTask(ctx, 100) }},
+		{"drop_machine", func() (*Profile, bool, error) { return me.DropMachine(ctx, 17) }},
+	} {
+		got, warm, err := drop.do()
+		if err != nil {
+			t.Fatalf("%s: %v", drop.name, err)
+		}
+		if !warm {
+			t.Errorf("%s was not served incrementally", drop.name)
+		}
+		want := coldProfileOf(t, me)
+		for _, c := range []struct {
+			field     string
+			got, want float64
+		}{
+			{"MPH", got.MPH, want.MPH},
+			{"TDH", got.TDH, want.TDH},
+			{"TMA", got.TMA, want.TMA},
+		} {
+			if math.Abs(c.got-c.want) > 1e-10 {
+				t.Errorf("%s: %s = %.15g, cold %.15g (Δ %.3g)",
+					drop.name, c.field, c.got, c.want, math.Abs(c.got-c.want))
+			}
+		}
+		if got.SinkhornIterations > want.SinkhornIterations {
+			t.Errorf("%s: %d Sinkhorn rounds, cold solve %d",
+				drop.name, got.SinkhornIterations, want.SinkhornIterations)
+		}
+		t.Logf("%s: %d rounds incremental, %d cold", drop.name, got.SinkhornIterations, want.SinkhornIterations)
+	}
+}
+
 // TestMutableEnvDriftFallback pins the re-anchoring contract: with an
 // impossibly tight tolerance every mutation recomputes cold, and with a
 // huge one percent-level edits stay incremental indefinitely.

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -66,74 +65,6 @@ func TestTridiagonalizeWorkersBitIdentical(t *testing.T) {
 			if !floatsBitEqual(d, dWant) || !floatsBitEqual(e, eWant) {
 				t.Errorf("n=%d workers=%d: parallel tridiagonalization differs", n, w)
 			}
-		}
-	}
-}
-
-// dropRowCopy returns a copy of a without row i (test-local reference).
-func dropRowCopy(a *matrix.Dense, i int) *matrix.Dense {
-	r, c := a.Dims()
-	out := matrix.New(r-1, c)
-	src, dst := a.RawData(), out.RawData()
-	copy(dst, src[:i*c])
-	copy(dst[i*c:], src[(i+1)*c:])
-	return out
-}
-
-func dropColCopy(a *matrix.Dense, j int) *matrix.Dense {
-	r, c := a.Dims()
-	out := matrix.New(r, c-1)
-	for i := 0; i < r; i++ {
-		for jj := 0; jj < c; jj++ {
-			switch {
-			case jj < j:
-				out.Set(i, jj, a.At(i, jj))
-			case jj > j:
-				out.Set(i, jj-1, a.At(i, jj))
-			}
-		}
-	}
-	return out
-}
-
-// The downdater's secular-equation spectra must match a full recompute of
-// the reduced matrix to well within the 1e-8·σ₁ budget the what-if screening
-// path is specified against.
-func TestDowndaterMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	for _, dims := range [][2]int{{12, 8}, {40, 30}, {30, 45}} {
-		a := randTest(rng, dims[0], dims[1])
-		// Shift positive so the matrix resembles the ETC inputs it serves.
-		ad := a.RawData()
-		for i := range ad {
-			ad[i] = 3 + ad[i]
-		}
-		dd := NewDowndater(a)
-		ws := NewWorkspace()
-		var got, want []float64
-		for i := 0; i < dims[0]; i += 3 {
-			got = dd.DropRowValues(i, got[:0])
-			want = AppendSingularValues(want[:0], dropRowCopy(a, i), ws)
-			checkSpectraClose(t, got, want, "droprow", dims, i)
-		}
-		for j := 0; j < dims[1]; j += 3 {
-			got = dd.DropColValues(j, got[:0])
-			want = AppendSingularValues(want[:0], dropColCopy(a, j), ws)
-			checkSpectraClose(t, got, want, "dropcol", dims, j)
-		}
-	}
-}
-
-func checkSpectraClose(t *testing.T, got, want []float64, op string, dims [2]int, idx int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%v %s %d: %d singular values, want %d", dims, op, idx, len(got), len(want))
-	}
-	scale := want[0]
-	for k := range got {
-		if math.Abs(got[k]-want[k]) > 1e-8*scale {
-			t.Errorf("%v %s %d: σ[%d] = %.12g, recompute %.12g (err %g > 1e-8·σ₁)",
-				dims, op, idx, k, got[k], want[k], math.Abs(got[k]-want[k])/scale)
 		}
 	}
 }

@@ -131,6 +131,20 @@ func (t *Trace) Spans() []SpanRecord {
 	return append([]SpanRecord(nil), t.spans...)
 }
 
+// Drain returns the completed span records and removes them from the trace
+// (nil on a nil trace). A long-lived unit of work — a stream session —
+// drains after each step so its trace stays bounded.
+func (t *Trace) Drain() []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := append([]SpanRecord(nil), t.spans...)
+	t.spans = t.spans[:0]
+	return out
+}
+
 // Summary renders the completed spans as a compact one-line log field,
 // "name=1.234ms name=0.017ms", in completion order ("" on a nil trace).
 func (t *Trace) Summary() string {

@@ -59,12 +59,29 @@ func TestSpansSnapshotIsACopy(t *testing.T) {
 	}
 }
 
+func TestDrainEmptiesTrace(t *testing.T) {
+	tr := New("id", "n")
+	tr.StartSpan("a").End()
+	tr.StartSpan("b").End()
+	got := tr.Drain()
+	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
+		t.Fatalf("Drain() = %+v, want spans a, b", got)
+	}
+	if n := len(tr.Spans()); n != 0 {
+		t.Errorf("trace holds %d spans after Drain, want 0", n)
+	}
+	tr.StartSpan("c").End()
+	if again := tr.Drain(); len(again) != 1 || again[0].Name != "c" || got[0].Name != "a" {
+		t.Errorf("second Drain() = %+v (first now %+v), want only c and the first untouched", again, got)
+	}
+}
+
 // TestNilTraceNoOp pins the disabled fast path: every operation on a nil
 // trace (the FromContext result for an untraced context) must be safe and
 // allocation-free.
 func TestNilTraceNoOp(t *testing.T) {
 	var tr *Trace
-	if tr.ID() != "" || tr.Name() != "" || tr.Elapsed() != 0 || tr.Spans() != nil || tr.Summary() != "" {
+	if tr.ID() != "" || tr.Name() != "" || tr.Elapsed() != 0 || tr.Spans() != nil || tr.Drain() != nil || tr.Summary() != "" {
 		t.Error("nil trace accessors must return zero values")
 	}
 	sp := tr.StartSpan("anything")

@@ -67,8 +67,8 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 // structured logging and the request counter / latency histogram for its
 // endpoint. The trace rides the request context, so handler stages and the
 // compute pipeline's nested spans all land on it; after the handler returns,
-// every span is fed into the per-stage latency histogram and the trace
-// summary is logged at debug level.
+// every span still on the trace is fed into the per-stage latency histogram
+// and the trace summary is logged at debug level.
 func (s *Server) withObservability(endpoint string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// A sane client-supplied X-Request-ID is adopted rather than replaced,
@@ -93,18 +93,7 @@ func (s *Server) withObservability(endpoint string, next http.Handler) http.Hand
 		s.metrics.Histogram("hcserved_request_seconds",
 			"Request latency by endpoint.",
 			`endpoint="`+endpoint+`"`).Observe(elapsed.Seconds())
-		for _, sp := range tr.Spans() {
-			labels := `stage="` + sp.Name + `"`
-			if strings.HasSuffix(sp.Name, "_parallel") {
-				// Parallel pipeline stages carry the worker budget they ran
-				// under, so dashboards can attribute latency shifts to a
-				// worker-count change rather than a workload change.
-				labels += `,workers="` + strconv.Itoa(s.cfg.Workers) + `"`
-			}
-			s.metrics.Histogram("hcserved_stage_seconds",
-				"Stage latency within a request (top-level stages plus nested pipeline spans).",
-				labels).Observe(sp.Dur.Seconds())
-		}
+		s.observeStages(tr.Spans())
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -118,6 +107,22 @@ func (s *Server) withObservability(endpoint string, next http.Handler) http.Hand
 			s.log.Debug("trace", "request_id", reqID, "endpoint", endpoint, "spans", tr.Summary())
 		}
 	})
+}
+
+// observeStages feeds completed spans into the per-stage latency histogram.
+func (s *Server) observeStages(spans []obs.SpanRecord) {
+	for _, sp := range spans {
+		labels := `stage="` + sp.Name + `"`
+		if strings.HasSuffix(sp.Name, "_parallel") {
+			// Parallel pipeline stages carry the worker budget they ran
+			// under, so dashboards can attribute latency shifts to a
+			// worker-count change rather than a workload change.
+			labels += `,workers="` + strconv.Itoa(s.cfg.Workers) + `"`
+		}
+		s.metrics.Histogram("hcserved_stage_seconds",
+			"Stage latency within a request (top-level stages plus nested pipeline spans).",
+			labels).Observe(sp.Dur.Seconds())
+	}
 }
 
 // withTimeout attaches the per-request deadline to the request context; the

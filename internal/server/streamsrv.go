@@ -136,6 +136,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// error is ignorable.
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
+	// A session ends when the handler returns, which may be before the
+	// client has closed its request body (an explicit close op, an idle
+	// eviction, a terminal error). The connection then holds an unread
+	// full-duplex body and cannot carry another request: reused, the next
+	// session's reads race the leftover body. Closing it after the response
+	// costs one handshake per long-lived session.
+	w.Header().Set("Connection", "close")
 
 	if !s.streams.acquire() {
 		writeError(w, http.StatusServiceUnavailable, codeSessionLimit,
@@ -247,44 +254,33 @@ func admitCode(err error) (code, message string) {
 // MutableEnv. It reports whether the session may continue; on false the
 // error line has been written.
 func (ss *streamSession) open(ctx context.Context, env *etcmat.Env, tol float64) bool {
-	sp := obs.StartSpan(ctx, "stream_open")
-	defer sp.End()
-	release, err := ss.s.adm.Enter(ctx)
-	if err != nil {
+	p, _, code, msg := ss.solve(ctx, "stream_open", func(ctx context.Context) (*core.Profile, bool, error) {
+		ss.me = core.NewMutableEnv(ctx, env, tol)
+		return ss.me.Profile(), false, nil
+	})
+	if code != "" {
 		env.ReleaseBuffers()
-		ss.writeStreamError(admitCode(err))
+		ss.writeStreamError(code, msg)
 		return false
 	}
-	defer release()
-	sctx, cancel := ss.solveCtx(ss.s.computeCtx(ctx))
-	defer cancel()
-	ss.me = core.NewMutableEnv(sctx, env, tol)
 	ss.s.streamSessions.Inc()
 	ss.s.streamProfiles.Inc()
-	ss.writeProfile(ss.me.Profile(), nil)
+	ss.writeProfile(p, nil)
 	return true
 }
 
-// runMutation claims a compute slot, applies one mutation and writes the
-// result. A rejected mutation (bad index, wrong-length vector, non-finite
-// value) leaves the session state untouched and the stream open; so does an
-// overloaded admission queue.
+// runMutation applies one mutation and writes the result. A rejected
+// mutation (bad index, wrong-length vector, non-finite value) leaves the
+// session state untouched and the stream open; so does an overloaded
+// admission queue.
 func (ss *streamSession) runMutation(ctx context.Context, kind string,
 	apply func(ctx context.Context) (*core.Profile, bool, error)) {
-	sp := obs.StartSpan(ctx, "stream_mutation")
-	defer sp.End()
-	release, err := ss.s.adm.Enter(ctx)
-	if err != nil {
-		ss.writeStreamError(admitCode(err))
-		return
-	}
-	defer release()
-	sctx, cancel := ss.solveCtx(ss.s.computeCtx(ctx))
-	defer cancel()
-	p, warm, err := apply(sctx)
-	if err != nil {
-		ss.s.streamRejected.Inc()
-		ss.writeStreamError(codeInvalidMutation, err.Error())
+	p, warm, code, msg := ss.solve(ctx, "stream_mutation", apply)
+	if code != "" {
+		if code == codeInvalidMutation {
+			ss.s.streamRejected.Inc()
+		}
+		ss.writeStreamError(code, msg)
 		return
 	}
 	ss.muts++
@@ -297,6 +293,36 @@ func (ss *streamSession) runMutation(ctx context.Context, kind string,
 		ss.s.streamRecomputed.Inc()
 	}
 	ss.writeProfile(p, &warm)
+}
+
+// solve claims a compute slot and runs apply under the per-solve deadline,
+// inside a span named stage. A failure comes back as an in-stream error
+// code and message: an admission code, or invalid_mutation when apply
+// rejects the edit.
+//
+// A session is one request, so its trace would otherwise collect every
+// solve's spans until the session ends. Before returning, solve hands the
+// trace's spans to the stage histograms and drops them: the session's trace
+// stays bounded, and a client holding a reply finds its solve's stages
+// already on /metrics.
+func (ss *streamSession) solve(ctx context.Context, stage string,
+	apply func(ctx context.Context) (*core.Profile, bool, error)) (p *core.Profile, warm bool, code, msg string) {
+	defer func() { ss.s.observeStages(obs.FromContext(ctx).Drain()) }()
+	sp := obs.StartSpan(ctx, stage)
+	defer sp.End()
+	release, err := ss.s.adm.Enter(ctx)
+	if err != nil {
+		code, msg = admitCode(err)
+		return nil, false, code, msg
+	}
+	defer release()
+	sctx, cancel := ss.solveCtx(ss.s.computeCtx(ctx))
+	defer cancel()
+	p, warm, err = apply(sctx)
+	if err != nil {
+		return nil, false, codeInvalidMutation, err.Error()
+	}
+	return p, warm, "", ""
 }
 
 // mutate dispatches one decoded wire mutation (shared by both framings;

@@ -6,15 +6,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/etcmat"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -471,5 +476,169 @@ func TestStreamMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestStreamSequentialSessionsOneClient runs JSON sessions back to back over
+// one keep-alive http.Client. A session ends with the request body still
+// open on the client side, so the connection it ran on must not be handed
+// to the next session: every open must succeed, every close must return its
+// summary, and the server must log no recovered panic. Every other session
+// holds its request body open briefly after reading the summary, the way a
+// client that tears down lazily would.
+func TestStreamSequentialSessionsOneClient(t *testing.T) {
+	var logs syncLogBuffer
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&logs, "", 0)
+	ts.Start()
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+
+	for i := 0; i < 20; i++ {
+		run := clientSession
+		if i%2 == 1 {
+			run = heldOpenSession
+		}
+		// A session on a broken connection can block inside the transport
+		// (it waits on the request-body pipe), so it runs off the test
+		// goroutine under a deadline.
+		done := make(chan error, 1)
+		go func() { done <- run(client, ts.URL) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("session %d stalled", i)
+		}
+	}
+	if n := s.panics.Value(); n != 0 {
+		t.Errorf("%d handler panics recovered", n)
+	}
+	if out := logs.String(); strings.Contains(out, "panic") || strings.Contains(out, "superfluous") {
+		t.Errorf("server log reports a broken connection:\n%s", out)
+	}
+}
+
+// clientSession runs one open/set_cell/close session through StreamClient.
+func clientSession(client *http.Client, baseURL string) error {
+	c, _, err := OpenStreamSession(context.Background(), client, baseURL, streamTestEnv(), 0)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
+	}
+	u, err := c.SetCell(0, 1, 0.05)
+	if err != nil {
+		return fmt.Errorf("set_cell: %w", err)
+	}
+	if u.Error != nil {
+		return fmt.Errorf("set_cell: %s: %s", u.Error.Code, u.Error.Message)
+	}
+	sum, err := c.Close()
+	if err != nil {
+		return fmt.Errorf("close: %w", err)
+	}
+	if !sum.Closed {
+		return fmt.Errorf("close line not marked closed: %+v", sum)
+	}
+	return nil
+}
+
+// heldOpenSession drives one open/set_cell/close session by hand and keeps
+// its request body open for a moment after the summary arrives before
+// closing it.
+func heldOpenSession(client *http.Client, baseURL string) error {
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, baseURL+"/v1/stream", pr)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	go func() {
+		fmt.Fprintln(pw, `{"op":"open","env":{"etc":[[10,20],[4,2]]}}`)
+		fmt.Fprintln(pw, `{"op":"set_cell","task":0,"machine":1,"value":0.4}`)
+		fmt.Fprintln(pw, `{"op":"close"}`)
+	}()
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var last StreamUpdate
+	for lines := 0; lines < 3; lines++ {
+		if !sc.Scan() {
+			return fmt.Errorf("held-open session: %d of 3 lines, err %v", lines, sc.Err())
+		}
+		last = StreamUpdate{}
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			return fmt.Errorf("held-open session: line %d: %w", lines, err)
+		}
+	}
+	if !last.Closed {
+		return fmt.Errorf("held-open session: close line not marked closed: %s", sc.Bytes())
+	}
+	time.Sleep(20 * time.Millisecond)
+	pw.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
+}
+
+// TestStreamSessionTraceBounded pins that a session's request trace does not
+// grow with the session: each solve's spans reach the stage histograms as it
+// completes and leave the trace, so after n mutations the trace is empty and
+// the stream_mutation stage has counted n observations before the session
+// closes.
+func TestStreamSessionTraceBounded(t *testing.T) {
+	s := New(Config{Logger: quietLogger()})
+	var tr atomic.Pointer[obs.Trace]
+	ts := httptest.NewServer(s.withObservability("stream", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tr.Store(obs.FromContext(r.Context()))
+		s.handleStream(w, r)
+	})))
+	defer ts.Close()
+	stageCount := func(stage string) string {
+		var b strings.Builder
+		if _, err := s.metrics.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		prefix := `hcserved_stage_seconds_count{stage="` + stage + `"} `
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, prefix) {
+				return strings.TrimPrefix(line, prefix)
+			}
+		}
+		return "absent"
+	}
+
+	c, _, err := OpenStreamSession(context.Background(), nil, ts.URL, streamTestEnv(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		u, err := c.SetCell(i%3, (i+1)%3, 0.05+0.001*float64(i))
+		if err != nil || u.Error != nil {
+			t.Fatalf("mutation %d: %v %+v", i, err, u)
+		}
+		if spans := tr.Load().Spans(); len(spans) != 0 {
+			t.Fatalf("after mutation %d the session trace holds %d spans, want 0", i, len(spans))
+		}
+	}
+	if got := stageCount("stream_mutation"); got != strconv.Itoa(n) {
+		t.Errorf("stream_mutation stage count before close = %s, want %d", got, n)
+	}
+	if got := stageCount("stream_open"); got != "1" {
+		t.Errorf("stream_open stage count = %s, want 1", got)
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stageCount("stream_mutation"); got != strconv.Itoa(n) {
+		t.Errorf("stream_mutation stage count after close = %s, want %d", got, n)
 	}
 }

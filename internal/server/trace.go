@@ -16,7 +16,9 @@ import (
 // "gram", "eigensolve", "measures", per-item "task") inside "compute" via the
 // request context. After the handler returns, the middleware feeds every span
 // into the hcserved_stage_seconds histogram; when the client asked with
-// ?trace=1, the same spans are echoed in the response's timings field.
+// ?trace=1, the same spans are echoed in the response's timings field. A
+// stream session is one long request, so it feeds and drops each solve's
+// spans as the solve completes instead (streamSession.solve).
 
 // requestIDs hands out process-unique request identifiers: a random boot
 // prefix (so IDs from restarted instances never collide in aggregated logs)

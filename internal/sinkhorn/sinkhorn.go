@@ -272,22 +272,17 @@ func (w *WarmStart) omega() float64 {
 // nonnegative matrix. On ErrNotConverged the returned Result still carries
 // the last iterate and diagnostics.
 func Balance(a *matrix.Dense, opt Options) (*Result, error) {
-	return BalanceWS(a, opt, nil)
+	return BalanceWarmWS(a, opt, nil, nil)
 }
 
-// BalanceWS is Balance running on a reusable workspace. With a non-nil ws the
-// returned Result and its Scaled/D1/D2 fields are backed by ws-owned storage:
-// they are valid only until the next BalanceWS call with the same workspace,
-// and must be cloned to outlive it. A nil ws behaves exactly like Balance
-// (fresh caller-owned allocations).
-func BalanceWS(a *matrix.Dense, opt Options, ws *Workspace) (*Result, error) {
-	return BalanceWarmWS(a, opt, nil, ws)
-}
-
-// BalanceWarmWS is BalanceWS seeded with the scaling vectors of a previous
-// run on a nearby matrix (see WarmStart). A nil warm is exactly BalanceWS;
-// the returned D1/D2 include the seed factors, so Scaled = D1 · A · D2 holds
-// for warm and cold runs alike.
+// BalanceWarmWS is Balance seeded with the scaling vectors of a previous run
+// on a nearby matrix (see WarmStart) and running on a reusable workspace. A
+// nil warm starts cold; the returned D1/D2 include the seed factors, so
+// Scaled = D1 · A · D2 holds for warm and cold runs alike. With a non-nil ws
+// the returned Result and its Scaled/D1/D2 fields are backed by ws-owned
+// storage: they are valid only until the next call with the same workspace,
+// and must be cloned to outlive it. A nil ws allocates fresh caller-owned
+// storage.
 func BalanceWarmWS(a *matrix.Dense, opt Options, warm *WarmStart, ws *Workspace) (*Result, error) {
 	t, m := a.Dims()
 	if t == 0 || m == 0 {
@@ -581,61 +576,35 @@ func StandardTargets(t, m int) (rowTarget, colTarget float64) {
 // with geometric convergence (see Options.TrimUnsupported). See Balance for
 // error semantics.
 func Standardize(a *matrix.Dense) (*Result, error) {
-	return StandardizeWS(a, nil)
+	return StandardizeWarmWS(a, nil, nil)
 }
 
-// StandardizeCtx is Standardize with stage tracing: when ctx carries an
-// obs.Trace, the whole balancing run is recorded as a "standardize" span.
-// Without a trace it is exactly Standardize.
-func StandardizeCtx(ctx context.Context, a *matrix.Dense) (*Result, error) {
+// StandardizeWarmWS is Standardize seeded with the scaling vectors of a
+// previous standardization of a nearby matrix (see WarmStart) and running on
+// a reusable workspace (see BalanceWarmWS for the lifetime rules of the
+// returned Result when ws is non-nil): the what-if and sweep hot paths,
+// where each solve differs from the last by one row, one column or a
+// percent-level perturbation, converge in a fraction of the cold iterations
+// while reaching the identical standard form. A nil warm starts cold.
+func StandardizeWarmWS(a *matrix.Dense, warm *WarmStart, ws *Workspace) (*Result, error) {
+	return StandardizeWarmTolCtx(context.Background(), a, warm, ws, DefaultTol)
+}
+
+// StandardizeWarmTolCtx is StandardizeWarmWS with an explicit convergence
+// tolerance (non-positive selects DefaultTol) and stage tracing: when ctx
+// carries an obs.Trace, the balancing run is recorded as a "standardize"
+// span. The streaming incremental characterizer solves at a tighter
+// tolerance than the paper's default so that chained warm results stay
+// within 1e-10 of a cold solve of the same tightness — at DefaultTol both
+// iterates stop inside a 1e-8 ball whose TMA spread is a few 1e-10.
+func StandardizeWarmTolCtx(ctx context.Context, a *matrix.Dense, warm *WarmStart, ws *Workspace, tol float64) (*Result, error) {
 	sp := obs.StartSpan(ctx, "standardize")
 	defer sp.End()
-	return Standardize(a)
-}
-
-// StandardizeWS is Standardize running on a reusable workspace; see BalanceWS
-// for the lifetime rules of the returned Result when ws is non-nil.
-func StandardizeWS(a *matrix.Dense, ws *Workspace) (*Result, error) {
-	return StandardizeWarmWS(a, nil, ws)
-}
-
-// StandardizeWarmWS is StandardizeWS seeded with the scaling vectors of a
-// previous standardization of a nearby matrix (see WarmStart): the what-if
-// and sweep hot paths, where each solve differs from the last by one row,
-// one column or a percent-level perturbation, converge in a fraction of the
-// cold iterations while reaching the identical standard form.
-func StandardizeWarmWS(a *matrix.Dense, warm *WarmStart, ws *Workspace) (*Result, error) {
-	return StandardizeWarmTolWS(a, warm, ws, DefaultTol)
-}
-
-// StandardizeWarmTolWS is StandardizeWarmWS with an explicit convergence
-// tolerance (non-positive selects DefaultTol). The streaming incremental
-// characterizer solves at a tighter tolerance than the paper's default so
-// that chained warm results stay within 1e-10 of a cold solve of the same
-// tightness — at DefaultTol both iterates stop inside a 1e-8 ball whose TMA
-// spread is a few 1e-10.
-func StandardizeWarmTolWS(a *matrix.Dense, warm *WarmStart, ws *Workspace, tol float64) (*Result, error) {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
 	rt, ct := StandardTargets(a.Rows(), a.Cols())
 	return BalanceWarmWS(a, Options{RowTarget: rt, ColTarget: ct, Tol: tol, TrimUnsupported: true}, warm, ws)
-}
-
-// StandardizeWarmCtx is StandardizeWarmWS with stage tracing: when ctx
-// carries an obs.Trace, the balancing run is recorded as a "standardize"
-// span, matching StandardizeCtx so traced cold and warm solves are
-// comparable stage by stage.
-func StandardizeWarmCtx(ctx context.Context, a *matrix.Dense, warm *WarmStart, ws *Workspace) (*Result, error) {
-	return StandardizeWarmTolCtx(ctx, a, warm, ws, DefaultTol)
-}
-
-// StandardizeWarmTolCtx is StandardizeWarmCtx with an explicit convergence
-// tolerance; see StandardizeWarmTolWS.
-func StandardizeWarmTolCtx(ctx context.Context, a *matrix.Dense, warm *WarmStart, ws *Workspace, tol float64) (*Result, error) {
-	sp := obs.StartSpan(ctx, "standardize")
-	defer sp.End()
-	return StandardizeWarmTolWS(a, warm, ws, tol)
 }
 
 // DoublyStochastic balances a square matrix to row and column sums of 1.

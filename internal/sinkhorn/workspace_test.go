@@ -18,7 +18,7 @@ func TestBalanceWSMatchesBalance(t *testing.T) {
 		c := 2 + rng.Intn(12)
 		a := randPositive(rng, r, c)
 		fresh, errF := Standardize(a)
-		pooled, errW := StandardizeWS(a, ws)
+		pooled, errW := StandardizeWarmWS(a, nil, ws)
 		if (errF == nil) != (errW == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errF, errW)
 		}
@@ -43,11 +43,11 @@ func TestBalanceWSDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	a := randPositive(rng, 5, 7)
 	orig := a.Clone()
-	if _, err := StandardizeWS(a, NewWorkspace()); err != nil {
+	if _, err := StandardizeWarmWS(a, nil, NewWorkspace()); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.EqualTol(a, orig, 0) {
-		t.Error("StandardizeWS mutated its input")
+		t.Error("StandardizeWarmWS mutated its input")
 	}
 }
 
@@ -57,15 +57,15 @@ func TestBalanceWSZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a := randPositive(rng, 16, 8)
 	ws := NewWorkspace()
-	if _, err := StandardizeWS(a, ws); err != nil { // warm the buffers
+	if _, err := StandardizeWarmWS(a, nil, ws); err != nil { // warm the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := StandardizeWS(a, ws); err != nil {
+		if _, err := StandardizeWarmWS(a, nil, ws); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm StandardizeWS allocates %g times per op, want 0", allocs)
+		t.Errorf("warm StandardizeWarmWS allocates %g times per op, want 0", allocs)
 	}
 }
