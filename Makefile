@@ -136,9 +136,13 @@ churnload:
 streamload:
 	scripts/streamload.sh
 
-# Short fuzz run of the binary frame decoder (the CI smoke step).
+# Short fuzz runs (the CI smoke step): the binary frame decoder, the JSON
+# scanner's fused number parser against strconv, and the whole JSON env
+# scanner against encoding/json. -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run Fuzz -fuzz=FuzzParseNumber -fuzztime=10s ./internal/server
+	$(GO) test -run Fuzz -fuzz=FuzzEnvJSON -fuzztime=10s ./internal/server
 
 clean:
 	$(GO) clean ./...

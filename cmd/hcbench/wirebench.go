@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/etcmat"
 	"repro/internal/gen"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -21,14 +22,14 @@ const (
 )
 
 // decodeBenchReport is the decode_bench section runWireBench merges into the
-// serving report: one record per ingestion path, same body content.
+// serving report: one record per ingestion path and GOMAXPROCS setting, same
+// body content.
 type decodeBenchReport struct {
-	Shape      string        `json:"shape"`
-	JSONBytes  int           `json:"json_bytes"`
-	WireBytes  int           `json:"wire_bytes"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	GoVersion  string        `json:"go_version"`
-	Results    []benchResult `json:"results"`
+	Shape     string        `json:"shape"`
+	JSONBytes int           `json:"json_bytes"`
+	WireBytes int           `json:"wire_bytes"`
+	GoVersion string        `json:"go_version"`
+	Results   []benchResult `json:"results"`
 }
 
 // runWireBench measures the three ways a characterize body becomes a cache
@@ -53,55 +54,59 @@ func runWireBench(path string) error {
 	wantKey := env.ContentKey()
 
 	rep := decodeBenchReport{
-		Shape:      fmt.Sprintf("%dx%d", wireBenchTasks, wireBenchMachines),
-		JSONBytes:  len(jsonBody),
-		WireBytes:  len(wireBody),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
+		Shape:     fmt.Sprintf("%dx%d", wireBenchTasks, wireBenchMachines),
+		JSONBytes: len(jsonBody),
+		WireBytes: len(wireBody),
+		GoVersion: runtime.Version(),
 	}
-	rep.Results = append(rep.Results, record("DecodeToKey/json-stdlib",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var dto server.EnvDTO
-				if err := json.Unmarshal(jsonBody, &dto); err != nil {
-					b.Fatal(err)
-				}
-				e, err := dto.Env()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if e.ContentKey() != wantKey {
-					b.Fatal("stdlib path produced a different key")
-				}
+	decoders := []struct {
+		name string
+		key  func() (etcmat.ContentKey, error)
+	}{
+		{"DecodeToKey/json-stdlib", func() (etcmat.ContentKey, error) {
+			var dto server.EnvDTO
+			if err := json.Unmarshal(jsonBody, &dto); err != nil {
+				return etcmat.ContentKey{}, err
 			}
-		})))
-	rep.Results = append(rep.Results, record("DecodeToKey/json-streaming",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k, err := server.DecodeEnvContentKey(jsonBody, "application/json")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if k != wantKey {
-					b.Fatal("streaming path produced a different key")
-				}
+			e, err := dto.Env()
+			if err != nil {
+				return etcmat.ContentKey{}, err
 			}
-		})))
-	rep.Results = append(rep.Results, record("DecodeToKey/binary",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k, err := server.DecodeEnvContentKey(wireBody, wire.ContentTypeMatrix)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if k != wantKey {
-					b.Fatal("binary path produced a different key")
-				}
-			}
-		})))
+			return e.ContentKey(), nil
+		}},
+		{"DecodeToKey/json-streaming", func() (etcmat.ContentKey, error) {
+			return server.DecodeEnvContentKey(jsonBody, "application/json")
+		}},
+		{"DecodeToKey/binary", func() (etcmat.ContentKey, error) {
+			return server.DecodeEnvContentKey(wireBody, wire.ContentTypeMatrix)
+		}},
+	}
+	// Every path runs at GOMAXPROCS=1 and, on a host with two or more CPUs,
+	// at 2. A decode is one goroutine, so the second core can only change
+	// what the runtime (the garbage collector) does around it.
+	procs := []int{1}
+	if runtime.NumCPU() >= 2 {
+		procs = append(procs, 2)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range procs {
+		runtime.GOMAXPROCS(n)
+		for _, d := range decoders {
+			rep.Results = append(rep.Results, record(d.name,
+				testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						k, err := d.key()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if k != wantKey {
+							b.Fatalf("%s produced a different key", d.name)
+						}
+					}
+				})))
+		}
+	}
 
 	if path == "-" {
 		enc := json.NewEncoder(os.Stdout)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -20,11 +21,12 @@ import (
 // This file is the zero-copy ingestion path (DESIGN.md §13). Environment
 // request bodies — by far the largest payloads the server sees — are decoded
 // by a hand-rolled streaming scanner instead of encoding/json: matrix cells
-// are tokenized straight out of the body buffer into a pooled []float64 with
-// no [][]ETCValue materialization, and every cell is fed to a ContentHasher
-// as it is parsed, so by the time the body is scanned the cache key is
-// already known. A warm request therefore touches each body byte once and
-// allocates nothing proportional to the matrix.
+// are parsed straight out of the body buffer, each in one fused pass over its
+// bytes (number.go), into a pooled []float64 with no [][]ETCValue
+// materialization, and every cell is fed to a ContentHasher as it is parsed,
+// so by the time the body is scanned the cache key is already known. A warm
+// request therefore reads each body byte once and allocates nothing
+// proportional to the matrix.
 
 // Pools for the per-request ingestion state. Package-level because payloads
 // flow through free functions; all three recycle across requests and shrink
@@ -342,11 +344,13 @@ func applyNamesWeights(env *etcmat.Env, tn, mn []string, tw, mw []float64) (*etc
 
 // jsonScanner is a minimal non-allocating JSON tokenizer over a fully
 // buffered body. It is not a general validator — it accepts a superset of
-// JSON numbers (anything strconv.ParseFloat takes from the number charset) —
-// but every valid request body parses identically to encoding/json, with one
+// JSON numbers (anything strconv.ParseFloat takes from the number charset;
+// readFloat settles the common forms itself and hands every other token to
+// ParseFloat) — but every valid request body parses identically to
+// encoding/json, keys matching case-insensitively as they do there, with one
 // deliberate divergence: a duplicate etc/ecs key is an error rather than
 // last-wins, because the first matrix has already streamed through the
-// hasher.
+// hasher. FuzzEnvJSON checks the rest against encoding/json.
 type jsonScanner struct {
 	data []byte
 	pos  int
@@ -402,24 +406,63 @@ func isNumByte(c byte) bool {
 	return c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || (c >= '0' && c <= '9')
 }
 
-// readFloat tokenizes one number. The token is passed to ParseFloat through
-// an unsafe no-copy string — sound because the token aliases the request
-// body, which is immutable for the scan's lifetime.
+// readFloat reads one number. The fused parser (number.go) settles nearly
+// every real cell in one pass over its bytes; a token it declines is read
+// again by readFloatStrconv, so both paths agree on the value's bits, on
+// where the token ends and on the error.
 func (s *jsonScanner) readFloat() (float64, error) {
+	s.skipWS()
+	if v, end, ok := parseNumber(s.data, s.pos); ok {
+		s.pos = end
+		return v, nil
+	}
+	return s.readFloatStrconv()
+}
+
+// readFloatStrconv tokenizes the maximal run of number bytes and hands it to
+// strconv.ParseFloat through an unsafe no-copy string — sound because the
+// token aliases the request body, which is immutable for the scan's
+// lifetime. It defines the accepted superset of JSON numbers: anything
+// ParseFloat takes from the number charset.
+func (s *jsonScanner) readFloatStrconv() (float64, error) {
+	tok, err := s.numberToken()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseFloat(unsafe.String(&tok[0], len(tok)), 64)
+	if err != nil {
+		return 0, fmt.Errorf("invalid number %q", tok)
+	}
+	return v, nil
+}
+
+// numberToken consumes the maximal run of number bytes, which must not be
+// empty.
+func (s *jsonScanner) numberToken() ([]byte, error) {
 	s.skipWS()
 	start := s.pos
 	for s.pos < len(s.data) && isNumByte(s.data[s.pos]) {
 		s.pos++
 	}
 	if s.pos == start {
-		return 0, s.errf("expected a number")
+		return nil, s.errf("expected a number")
 	}
-	tok := s.data[start:s.pos]
-	v, err := strconv.ParseFloat(unsafe.String(&tok[0], len(tok)), 64)
+	return s.data[start:s.pos], nil
+}
+
+// skipNumber consumes a number whose value is never used (inside an unknown
+// key). Only its syntax is checked: like encoding/json skipping an unknown
+// field, a magnitude beyond float64's range is not an error.
+func (s *jsonScanner) skipNumber() error {
+	tok, err := s.numberToken()
 	if err != nil {
-		return 0, fmt.Errorf("invalid number %q", tok)
+		return err
 	}
-	return v, nil
+	_, err = strconv.ParseFloat(unsafe.String(&tok[0], len(tok)), 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return fmt.Errorf("invalid number %q", tok)
+	}
+	return nil
 }
 
 // readStringBytes returns the content of the next string. Escape-free strings
@@ -536,6 +579,15 @@ func (s *jsonScanner) readHexRune() (rune, error) {
 	return r, nil
 }
 
+// null consumes a null literal if one starts at the current position.
+func (s *jsonScanner) null() bool {
+	if s.pos+4 <= len(s.data) && string(s.data[s.pos:s.pos+4]) == "null" {
+		s.pos += 4
+		return true
+	}
+	return false
+}
+
 func (s *jsonScanner) literal(lit string) error {
 	if s.pos+len(lit) > len(s.data) || string(s.data[s.pos:s.pos+len(lit)]) != lit {
 		return s.errf("invalid literal")
@@ -605,8 +657,7 @@ func (s *jsonScanner) skipValue() error {
 	case 'n':
 		return s.literal("null")
 	default:
-		_, err := s.readFloat()
-		return err
+		return s.skipNumber()
 	}
 }
 
@@ -621,11 +672,16 @@ func (s *jsonScanner) readStringArray() ([]string, error) {
 		return out, nil
 	}
 	for {
-		b, err := s.readStringBytes()
-		if err != nil {
-			return nil, err
+		s.skipWS()
+		if s.null() {
+			out = append(out, "") // encoding/json leaves a null element empty
+		} else {
+			b, err := s.readStringBytes()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, string(b))
 		}
-		out = append(out, string(b))
 		d, err := s.delim(',', ']')
 		if err != nil {
 			return nil, err
@@ -682,24 +738,28 @@ func (p *envPayload) parseEnvObject(s *jsonScanner) error {
 		if err := s.expect(':'); err != nil {
 			return err
 		}
-		switch string(key) {
-		case "etc":
+		field := matchField(key, envFields)
+		s.skipWS()
+		switch {
+		case field != "" && s.null():
+			err = p.setNull(field)
+		case field == "etc":
 			err = p.parseMatrix(s, true)
-		case "ecs":
+		case field == "ecs":
 			err = p.parseMatrix(s, false)
-		case "csv":
+		case field == "csv":
 			var b []byte
 			if b, err = s.readStringBytes(); err == nil {
 				p.csv = string(b)
 				p.csvSet = p.csv != ""
 			}
-		case "taskNames":
+		case field == "taskNames":
 			p.taskNames, err = s.readStringArray()
-		case "machineNames":
+		case field == "machineNames":
 			p.machineNames, err = s.readStringArray()
-		case "taskWeights":
+		case field == "taskWeights":
 			p.taskWeights, err = s.readFloatArray()
-		case "machineWeights":
+		case field == "machineWeights":
 			p.machineWeights, err = s.readFloatArray()
 		default:
 			err = s.skipValue()
@@ -715,6 +775,43 @@ func (p *envPayload) parseEnvObject(s *jsonScanner) error {
 			return nil
 		}
 	}
+}
+
+// envFields are the EnvDTO keys parseEnvObject decodes.
+var envFields = []string{"etc", "ecs", "csv", "taskNames", "machineNames", "taskWeights", "machineWeights"}
+
+// matchField returns the name in fields that key matches, or "" for a key
+// the scanner skips. Like encoding/json, keys match case-insensitively
+// (bytes.EqualFold), so "ETC" sets etc; no two names here fold together.
+func matchField(key []byte, fields []string) string {
+	for _, f := range fields {
+		if bytes.EqualFold(key, []byte(f)) {
+			return f
+		}
+	}
+	return ""
+}
+
+// setNull applies a null value to a known field as encoding/json does: an
+// array field becomes absent and csv keeps its value. A matrix already
+// streamed into the hasher cannot be taken back, so nulling it is a
+// duplicate key.
+func (p *envPayload) setNull(field string) error {
+	switch field {
+	case "etc", "ecs":
+		if (field == "etc" && p.etcSet) || (field == "ecs" && p.ecsSet) {
+			return fmt.Errorf("duplicate %q key", field)
+		}
+	case "taskNames":
+		p.taskNames = nil
+	case "machineNames":
+		p.machineNames = nil
+	case "taskWeights":
+		p.taskWeights = nil
+	case "machineWeights":
+		p.machineWeights = nil
+	}
+	return nil
 }
 
 // parseMatrix scans an etc/ecs array-of-rows, streaming each cell into the
@@ -818,9 +915,11 @@ func (p *envPayload) readCell(s *jsonScanner, isETC bool, i, j int) (v float64, 
 		}
 		return 0, false, fmt.Errorf("server: ETC entry %q is not a number or \"inf\"", b)
 	}
-	n, err := s.readFloat()
-	if err != nil {
-		return 0, false, err
+	var n float64 // encoding/json leaves a null cell at zero
+	if !s.null() {
+		if n, err = s.readFloat(); err != nil {
+			return 0, false, err
+		}
 	}
 	if isETC {
 		if math.IsNaN(n) || n <= 0 {
@@ -911,6 +1010,83 @@ func scanJSONBatch(body []byte, p *envPayload, fn func(itemErr error)) error {
 		}
 	}
 	return s.trailingCheck()
+}
+
+// streamOpenFields are the streamRequest keys an opening line is read for.
+var streamOpenFields = []string{"op", "env", "driftTolerance"}
+
+// decodeStreamOpen decodes the first NDJSON line of a JSON stream session,
+// {"op":"open","env":{...},"driftTolerance":t}, with the scanner the
+// one-shot endpoints use, so a session opens on exactly the environment
+// /v1/characterize builds from the same env object. The error text is the
+// invalid_request message.
+func decodeStreamOpen(line []byte) (env *etcmat.Env, tol float64, err error) {
+	p := acquirePayload()
+	defer releasePayload(p)
+	op, hasEnv, tol, err := scanStreamOpen(&jsonScanner{data: line}, p)
+	if err != nil {
+		return nil, 0, fmt.Errorf("malformed stream line: %w", err)
+	}
+	if string(op) != "open" || !hasEnv {
+		return nil, 0, errors.New(`the first stream line must be {"op":"open","env":{...}}`)
+	}
+	if err := p.finalize(); err != nil {
+		return nil, 0, err
+	}
+	env, err = p.env()
+	return env, tol, err
+}
+
+// scanStreamOpen scans an opening line's object, the env into p. Keys match
+// as encoding/json matches them: case-insensitively, the last of a repeated
+// key winning, a null value leaving the field unset. Other fields mean
+// nothing on an opening line and are skipped unchecked.
+func scanStreamOpen(s *jsonScanner, p *envPayload) (op []byte, hasEnv bool, tol float64, err error) {
+	if err := s.expect('{'); err != nil {
+		return nil, false, 0, err
+	}
+	s.skipWS()
+	if s.pos < len(s.data) && s.data[s.pos] == '}' {
+		s.pos++
+		return nil, false, 0, s.trailingCheck()
+	}
+	for {
+		key, err := s.readStringBytes()
+		if err != nil {
+			return nil, false, 0, err
+		}
+		if err := s.expect(':'); err != nil {
+			return nil, false, 0, err
+		}
+		s.skipWS()
+		field := matchField(key, streamOpenFields)
+		switch {
+		case field != "" && s.null():
+			if field == "env" {
+				hasEnv = false
+			}
+		case field == "op":
+			op, err = s.readStringBytes()
+		case field == "env":
+			p.reset()
+			hasEnv = true
+			err = p.parseEnvObject(s)
+		case field == "driftTolerance":
+			tol, err = s.readFloat()
+		default:
+			err = s.skipValue()
+		}
+		if err != nil {
+			return nil, false, 0, err
+		}
+		d, err := s.delim(',', '}')
+		if err != nil {
+			return nil, false, 0, err
+		}
+		if d == '}' {
+			return op, hasEnv, tol, s.trailingCheck()
+		}
+	}
 }
 
 // scanBinaryBatch walks concatenated matrix frames, one environment each.

@@ -46,6 +46,13 @@ func OpenStreamSession(ctx context.Context, httpClient *http.Client, baseURL str
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 
+	// The transport's body writer reads the pipe until it is closed, and Do
+	// waits for that writer even after ctx ends; a server that stops
+	// answering after the open line would otherwise park this call forever.
+	// Closing the pipe when ctx ends bounds the open by ctx.
+	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
+	defer stop()
+
 	// Do returns once response headers arrive — which the server sends with
 	// its first line, after it has read and solved the open request. The
 	// transport streams the request body from the pipe concurrently, so the

@@ -401,27 +401,25 @@ func (ss *streamSession) runJSON(r *http.Request) {
 		if len(line) == 0 {
 			continue // blank lines are keep-alives
 		}
+		if ss.me == nil {
+			// The opening environment goes through the one-shot endpoints'
+			// scanner; only mutation lines use encoding/json.
+			env, tol, err := decodeStreamOpen(line)
+			if err != nil {
+				ss.writeStreamError(codeInvalidRequest, err.Error())
+				return
+			}
+			if !ss.open(r.Context(), env, tol) {
+				return
+			}
+			continue
+		}
 		var req streamRequest
 		if err := json.Unmarshal(line, &req); err != nil {
 			// The line framing itself is broken; nothing after it can be
 			// trusted, so this one is terminal.
 			ss.writeStreamError(codeInvalidRequest, "malformed stream line: "+err.Error())
 			return
-		}
-		if ss.me == nil {
-			if req.Op != "open" || req.Env == nil {
-				ss.writeStreamError(codeInvalidRequest, `the first stream line must be {"op":"open","env":{...}}`)
-				return
-			}
-			env, err := req.Env.Env()
-			if err != nil {
-				ss.writeStreamError(codeInvalidRequest, err.Error())
-				return
-			}
-			if !ss.open(r.Context(), env, req.DriftTolerance) {
-				return
-			}
-			continue
 		}
 		switch req.Op {
 		case "close":

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -640,5 +642,166 @@ func TestStreamSessionTraceBounded(t *testing.T) {
 	}
 	if got := stageCount("stream_mutation"); got != strconv.Itoa(n) {
 		t.Errorf("stream_mutation stage count after close = %s, want %d", got, n)
+	}
+}
+
+// TestStreamOpenHonorsContext: a server that reads the open line and then
+// answers nothing must not park OpenStreamSession past its context. The
+// transport's body writer keeps reading the request pipe, and Do waits for
+// it even after the context ends, so the pipe has to be closed when the
+// context does.
+func TestStreamOpenHonorsContext(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	opened := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			if strings.Contains(line, `"op":"open"`) {
+				break
+			}
+		}
+		close(opened) // the open line arrived; stall without replying
+		<-release
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-opened:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := OpenStreamSession(ctx, nil, "http://"+ln.Addr().String(), streamTestEnv(), 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("OpenStreamSession error %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("OpenStreamSession still blocked 10 s after its context was canceled")
+	}
+}
+
+// TestStreamOpenMatchesCharacterize: a JSON session's opening line is
+// decoded by the one-shot endpoints' scanner. The environment it opens on
+// carries the content key and names /v1/characterize derives from the same
+// env object, and the opening profile is bit for bit the one the session
+// solver gives for that object decoded through encoding/json and EnvDTO.
+// (The session's cold solve runs at its own Sinkhorn tolerance, so its TMA
+// is not the one-shot's to the last bit.)
+func TestStreamOpenMatchesCharacterize(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	envJSON := `{"etc":[[10,"inf",4.25e1],[15.5,12,3e1],[25,0.5e2,9.125]],` +
+		`"taskNames":["a","b","c"],"taskWeights":[1,2,0.5],"machineWeights":[3,1,1]}`
+	line := `{"op":"open","driftTolerance":1e-6,"env":` + envJSON + `}`
+
+	env, tol, err := decodeStreamOpen([]byte(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tol != 1e-6 {
+		t.Errorf("drift tolerance %g, want 1e-6", tol)
+	}
+	oneShotKey, err := DecodeEnvContentKey([]byte(envJSON), "application/json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.ContentKey() != oneShotKey {
+		t.Error("stream open and /v1/characterize decode different environments")
+	}
+	if got := strings.Join(env.TaskNames(), ","); got != "a,b,c" {
+		t.Errorf("task names %q, want a,b,c", got)
+	}
+
+	var dto EnvDTO
+	if err := json.Unmarshal([]byte(envJSON), &dto); err != nil {
+		t.Fatal(err)
+	}
+	refEnv, err := dto.Env()
+	if err != nil {
+		t.Fatal(err)
+	}
+	me := core.NewMutableEnv(context.Background(), refEnv, 1e-6)
+	defer me.Close()
+	want, _ := json.Marshal(ProfileToDTO(me.Profile(), false))
+
+	resp, body := post(t, ts, "/v1/stream", "application/x-ndjson", line+"\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: %d %s", resp.StatusCode, body)
+	}
+	var u StreamUpdate
+	if err := json.NewDecoder(strings.NewReader(body)).Decode(&u); err != nil {
+		t.Fatal(err)
+	}
+	if u.Profile == nil {
+		t.Fatalf("stream open: %+v", u)
+	}
+	if got, _ := json.Marshal(u.Profile); string(got) != string(want) {
+		t.Errorf("stream open profile differs from the reference decode:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestDecodeStreamOpen covers the opening-line decoder's own cases: key
+// order and case, null as absent, the last repeated env winning, and which
+// failures read as a malformed line rather than a bad environment.
+func TestDecodeStreamOpen(t *testing.T) {
+	const env = `{"etc":[[1,2],[3,4]]}`
+	ok := map[string]float64{
+		`{"op":"open","env":` + env + `}`:                                    0,
+		`{"env":` + env + `,"op":"open","driftTolerance":0.5}`:               0.5,
+		`{"OP":"open","Env":` + env + `,"DRIFTTOLERANCE":2e-3}`:              2e-3,
+		`{"op":"open","env":` + env + `,"driftTolerance":null,"speeds":[1]}`: 0,
+		`{"op":"open","env":{"etc":[[9]]},"env":` + env + `}`:                0,
+	}
+	want, err := DecodeEnvContentKey([]byte(env), "application/json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for line, tol := range ok {
+		e, gotTol, err := decodeStreamOpen([]byte(line))
+		if err != nil {
+			t.Errorf("%s: %v", line, err)
+			continue
+		}
+		if e.ContentKey() != want || gotTol != tol {
+			t.Errorf("%s: wrong environment or tolerance %g (want %g)", line, gotTol, tol)
+		}
+	}
+	bad := map[string]string{
+		`{"op":"open","env":` + env:                      "malformed stream line",
+		`{"op":"open","env":` + env + `} x`:              "malformed stream line",
+		`{"op":"open","env":{"etc":"x"}}`:                "malformed stream line",
+		`{"op":"open","env":` + env + `,"env":null}`:     "the first stream line must be",
+		`{"op":"add_task","env":` + env + `}`:            "the first stream line must be",
+		`{"op":"open","env":{"etc":[[1,2],[3]]}}`:        "ragged etc matrix",
+		`{"op":"open","env":{"etc":[[0,1]]}}`:            "must be positive",
+		`{"op":"open","env":{"etc":[[1]],"ecs":[[1]]}}`:  "exactly one of",
+		`{"op":"open","env":{"etc":[[1]]},"index":"x"}x`: "malformed stream line",
+	}
+	for line, prefix := range bad {
+		if _, _, err := decodeStreamOpen([]byte(line)); err == nil || !strings.Contains(err.Error(), prefix) {
+			t.Errorf("%s: err %v, want %q", line, err, prefix)
+		}
 	}
 }
