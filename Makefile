@@ -22,7 +22,7 @@ GATEP99 ?=
 BENCH_P99_THRESHOLD ?= 3.0
 P99_FLAGS = $(if $(GATEP99),-gatep99 -p99threshold $(BENCH_P99_THRESHOLD),)
 
-.PHONY: build test vet race lint bench bench-json benchdiff scalebench verify clean serve loadtest wirebench clusterload streamload churnload fuzz-smoke
+.PHONY: build test vet race hcperf lint bench bench-json benchdiff scalebench verify clean serve loadtest wirebench clusterload streamload churnload fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,13 @@ vet:
 # and the Env memo; keep it in the verify path.
 race:
 	$(GO) test -race ./...
+
+# The benchmark module (hcperf/, its own go.mod) calls this module's
+# internal APIs; vetting and testing it here makes a change that breaks one
+# of those calls fail verify rather than the benchmark run.
+hcperf:
+	$(GO) -C hcperf vet ./...
+	$(GO) -C hcperf test -count=1 .
 
 # Static analysis beyond vet. staticcheck and govulncheck are optional
 # locally (CI installs and runs them unconditionally); when a tool is not on
@@ -85,7 +92,7 @@ scalebench:
 	$(GO) run ./cmd/hcbench -scalebench $(BENCH_SCALE_NEW) -sizes $(SCALE_SIZES)
 	$(GO) run ./cmd/hcbench -benchdiff -threshold $(BENCH_THRESHOLD) $(BENCH_SCALE_OLD) $(BENCH_SCALE_NEW)
 
-verify: build vet lint test race
+verify: build vet lint test race hcperf
 # Opt-in perf gate: BENCHDIFF=1 make verify additionally re-measures the
 # kernels and diffs them against the committed baseline.
 ifneq ($(BENCHDIFF),)

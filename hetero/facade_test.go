@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/hetero"
+	"repro/internal/sinkhorn"
 )
 
 // Exercise every facade wrapper end to end so the public API surface stays
@@ -29,7 +30,8 @@ func TestFacadeSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiled, err := hetero.StandardizeViaTiling(env.ECS())
+		rt, ct := sinkhorn.StandardTargets(env.Tasks(), env.Machines())
+		tiled, err := sinkhorn.BalanceViaTiling(env.ECS(), sinkhorn.Options{RowTarget: rt, ColTarget: ct})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,30 +224,6 @@ func TaskDifficulties(env *Env) []float64 { return core.TaskDifficulties(env) }
 // summing to √(M/T), columns to √(T/M), largest singular value 1).
 func Standardize(a *Matrix) (*sinkhorn.Result, error) { return sinkhorn.Standardize(a) }
 
-// WarmStart carries the converged scaling vectors (and optionally the
-// subdominant singular value σ₂) of a previous standardization, to seed a run
-// on a nearby matrix: what-if edits, percent-level perturbations, adjacent
-// sweep points. The standard form reached is identical to a cold start —
-// the scaling is unique (paper Theorem 1) — in a fraction of the iterations.
-// Obtain one from Env.StandardFormSeed and attach it with
-// Env.WithStandardFormSeed; Characterize, TMA and LeaveOneOut consume it
-// transparently.
-type WarmStart = sinkhorn.WarmStart
-
-// StandardizeWarm is Standardize seeded with the scaling vectors of a
-// previous run on a nearby matrix (see WarmStart). A nil warm start is
-// exactly Standardize.
-func StandardizeWarm(a *Matrix, warm *WarmStart) (*sinkhorn.Result, error) {
-	return sinkhorn.StandardizeWarmWS(a, warm, nil)
-}
-
-// StandardizeViaTiling standardizes a strictly positive matrix through the
-// paper's Appendix A square-tiling construction; it produces the same
-// standard form as Standardize and exists as an independent cross-check.
-func StandardizeViaTiling(a *Matrix) (*sinkhorn.Result, error) {
-	return sinkhorn.StandardizeViaTiling(a)
-}
-
 // ColumnAngles returns the pairwise angles (radians) between the weighted
 // ECS columns — the geometric view of affinity from the paper's Sec. II-E.
 func ColumnAngles(env *Env) *Matrix { return core.ColumnAngles(env) }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/etcmat"
 	"repro/internal/matrix"
-	"repro/internal/sinkhorn"
 )
 
 // This file implements the paper's what-if application (Sec. I: "what-if
@@ -29,8 +28,8 @@ type Delta struct {
 	// SinkhornIterations is the number of normalization rounds the edited
 	// environment's standardization took. Each leave-one-out solve is seeded
 	// with the baseline's scaling vectors (minus the removed index), so this
-	// is typically a small fraction of the baseline Profile's count — the
-	// observable proof of the warm start.
+	// is typically below the baseline Profile's count — the observable proof
+	// of the warm start.
 	SinkhornIterations int
 	// Err records edits that produce an invalid environment (for example,
 	// removing the only machine a task type can run on).
@@ -46,8 +45,11 @@ type Delta struct {
 // scaling vectors with the removed index dropped (etcmat.Env.
 // StandardFormSeed / sinkhorn.WarmStart): the profiles are identical to the
 // cold ones up to the convergence tolerance — the Sinkhorn limit is unique
-// (Theorem 1) — but converge in a fraction of the rounds. Every seed carries
-// the baseline σ₂ as its over-relaxation hint. The hint's optimum is flat: a
+// (Theorem 1) — but converge in fewer rounds. Every seed carries the
+// baseline σ₂ as its over-relaxation hint, and that over-relaxation carries
+// the gain: on a nearly decomposable environment (σ₂ near 1) the seeded
+// sweep takes several times fewer rounds than a cold one, where the seed
+// without it saves none (DESIGN.md §12). The hint's optimum is flat: a
 // per-removal σ₂ from incremental spectral downdating took 1428 rounds over
 // a 288×256 sweep against 1429 with the baseline σ₂, at an O(k³) build.
 func LeaveOneOut(env *etcmat.Env) (baseline *Profile, deltas []Delta) {
@@ -66,7 +68,7 @@ func LeaveOneOutCtx(ctx context.Context, env *etcmat.Env) (baseline *Profile, de
 		if err != nil {
 			d.Err = err
 		} else {
-			edited = edited.WithStandardFormSeed(seed.DropCol(j))
+			edited.SetStandardFormSeed(seed.DropCol(j))
 			fillDelta(&d, baseline, CharacterizeCtx(ctx, edited))
 		}
 		deltas = append(deltas, d)
@@ -77,7 +79,7 @@ func LeaveOneOutCtx(ctx context.Context, env *etcmat.Env) (baseline *Profile, de
 		if err != nil {
 			d.Err = err
 		} else {
-			edited = edited.WithStandardFormSeed(seed.DropRow(i))
+			edited.SetStandardFormSeed(seed.DropRow(i))
 			fillDelta(&d, baseline, CharacterizeCtx(ctx, edited))
 		}
 		deltas = append(deltas, d)
@@ -109,9 +111,9 @@ type Sensitivity struct {
 
 // Sensitivities computes central finite-difference gradients with relative
 // step h (default 1e-4 when h <= 0). The environment must be standardizable;
-// the cost is 2·T·M characterizations, each warm-started from the baseline
-// scaling vectors (the perturbed matrix differs by one entry, so the seed is
-// within O(h) of the true scaling).
+// the cost is 2·T·M cold characterizations. A seed from the baseline scaling
+// would sit within O(h) of each perturbed one, but on the small environments
+// this serves it saved rounds and no time (DESIGN.md §12).
 func Sensitivities(env *etcmat.Env, h float64) (*Sensitivity, error) {
 	if h <= 0 {
 		h = 1e-4
@@ -120,7 +122,6 @@ func Sensitivities(env *etcmat.Env, h float64) (*Sensitivity, error) {
 	if base.TMAErr != nil {
 		return nil, fmt.Errorf("core: Sensitivities needs a standardizable environment: %w", base.TMAErr)
 	}
-	seed := env.StandardFormSeed()
 	t, m := env.Tasks(), env.Machines()
 	out := &Sensitivity{
 		DMPH: matrix.New(t, m),
@@ -136,11 +137,11 @@ func Sensitivities(env *etcmat.Env, h float64) (*Sensitivity, error) {
 				// sensitivities are reported as zero.
 				continue
 			}
-			up, err := perturbed(env, ecs, i, j, v*(1+h), seed)
+			up, err := perturbed(env, ecs, i, j, v*(1+h))
 			if err != nil {
 				return nil, err
 			}
-			down, err := perturbed(env, ecs, i, j, v*(1-h), seed)
+			down, err := perturbed(env, ecs, i, j, v*(1-h))
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +158,7 @@ func Sensitivities(env *etcmat.Env, h float64) (*Sensitivity, error) {
 	return out, nil
 }
 
-func perturbed(env *etcmat.Env, ecs *matrix.Dense, i, j int, v float64, seed *sinkhorn.WarmStart) (*Profile, error) {
+func perturbed(env *etcmat.Env, ecs *matrix.Dense, i, j int, v float64) (*Profile, error) {
 	mod := ecs.Clone()
 	mod.Set(i, j, v)
 	edited, err := etcmat.NewFromECS(mod)
@@ -168,5 +169,5 @@ func perturbed(env *etcmat.Env, ecs *matrix.Dense, i, j int, v float64, seed *si
 	if err != nil {
 		return nil, err
 	}
-	return Characterize(edited.WithStandardFormSeed(seed)), nil
+	return Characterize(edited), nil
 }

@@ -46,7 +46,7 @@ type Env struct {
 	memo *envMemo
 
 	// stdSeed optionally warm-starts the standard-form computation with the
-	// scaling vectors of a nearby environment (see WithStandardFormSeed). It
+	// scaling vectors of a nearby environment (see SetStandardFormSeed). It
 	// is a hint, not derived state: it never goes stale in the correctness
 	// sense (a Sinkhorn run converges to the same unique standard form from
 	// any positive seed), so clone keeps it across name/weight edits.
@@ -268,7 +268,10 @@ func (e *Env) StandardFormCtx(ctx context.Context) (*sinkhorn.Result, []float64,
 		if !seed.Matches(e.Tasks(), e.Machines()) {
 			seed = nil // shape hints that no longer apply are dropped, not errors
 		}
-		mm.std, mm.stdErr = sinkhorn.StandardizeWarmTolCtx(ctx, w, seed, nil, e.stdTol)
+		rt, ct := sinkhorn.StandardTargets(w.Dims())
+		mm.std, mm.stdErr = sinkhorn.Balance(ctx, w, sinkhorn.Options{
+			RowTarget: rt, ColTarget: ct, Tol: e.stdTol, TrimUnsupported: true, Warm: seed,
+		})
 		if mm.stdErr == nil {
 			mm.stdSV = linalg.SingularValuesCtx(ctx, mm.std.Scaled, nil)
 		}
@@ -282,7 +285,7 @@ func (e *Env) StandardFormCtx(ctx context.Context) (*sinkhorn.Result, []float64,
 // subdominant singular value σ₂ that selects the over-relaxation factor for
 // the seeded run. It returns nil — and does no work — unless StandardForm
 // has already run to convergence on this Env, so it is free to call
-// speculatively. Seed a derived environment with WithStandardFormSeed; for
+// speculatively. Seed a derived environment with SetStandardFormSeed; for
 // leave-one-out edits drop the removed index first (WarmStart.DropRow /
 // DropCol).
 func (e *Env) StandardFormSeed() *sinkhorn.WarmStart {
@@ -302,26 +305,15 @@ func (e *Env) StandardFormSeed() *sinkhorn.WarmStart {
 	return seed
 }
 
-// WithStandardFormSeed returns a copy of e whose standard-form computation
-// starts from the given scaling vectors instead of the raw weighted matrix
-// (see sinkhorn.WarmStart). The seed is a best-effort hint: a nil or
-// shape-mismatched seed is ignored rather than rejected, and the standard
-// form reached is identical to the unseeded one (Theorem 1 uniqueness) — only
-// the iteration count changes. The what-if and sweep hot paths use this to
-// seed each edited environment from its baseline's StandardFormSeed.
-func (e *Env) WithStandardFormSeed(seed *sinkhorn.WarmStart) *Env {
-	out := e.clone()
-	out.SetStandardFormSeed(seed)
-	return out
-}
-
 // SetStandardFormSeed installs (or, with nil, clears) the warm-start hint in
-// place, skipping WithStandardFormSeed's defensive clone. It is for exclusive
-// owners — the streaming session's incremental characterizer derives a fresh
-// Env per mutation and seeds it before anything is computed or shared; every
-// other caller should use WithStandardFormSeed. Like there, a
-// shape-mismatched seed clears the hint rather than erroring, and the
-// computed standard form is independent of the seed (Theorem 1 uniqueness).
+// place, so the standard-form computation starts from the given scaling
+// vectors instead of the raw weighted matrix (see sinkhorn.WarmStart). It is
+// for exclusive owners, before anything is computed or shared: the
+// leave-one-out sweep and the streaming session's incremental characterizer
+// each derive a fresh Env per edit and seed it at once. The seed is a
+// best-effort hint: a shape-mismatched seed clears it rather than erroring,
+// and the computed standard form is independent of the seed (Theorem 1
+// uniqueness) — only the iteration count changes.
 func (e *Env) SetStandardFormSeed(seed *sinkhorn.WarmStart) {
 	if seed.Matches(e.Tasks(), e.Machines()) {
 		e.stdSeed = seed

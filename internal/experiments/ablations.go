@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,7 +49,8 @@ func Ex4Ablation() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tiled, err := sinkhorn.StandardizeViaTiling(w)
+		rt, ct := sinkhorn.StandardTargets(w.Dims())
+		tiled, err := sinkhorn.BalanceViaTiling(w, sinkhorn.Options{RowTarget: rt, ColTarget: ct})
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +97,7 @@ func Ex4Ablation() ([]*Table, error) {
 func rowFirstStandardize(a *matrix.Dense) (*sinkhorn.Result, error) {
 	t, m := a.Dims()
 	rt, ct := sinkhorn.StandardTargets(t, m)
-	res, err := sinkhorn.Balance(a.T(), sinkhorn.Options{
+	res, err := sinkhorn.Balance(context.Background(), a.T(), sinkhorn.Options{
 		RowTarget: ct, ColTarget: rt, Tol: sinkhorn.DefaultTol,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bipartite"
@@ -261,7 +262,7 @@ func Eq10() ([]*Table, error) {
 	})
 	p := bipartite.PatternOf(a, 0)
 	all, _ := p.TotalSupport()
-	raw, rawErr := sinkhorn.Balance(a, sinkhorn.Options{RowTarget: 1, ColTarget: 1, MaxIter: 2000})
+	raw, rawErr := sinkhorn.Balance(context.Background(), a, sinkhorn.Options{RowTarget: 1, ColTarget: 1, MaxIter: 2000})
 	t := &Table{
 		ID:    "EQ10",
 		Title: "The decomposable Eq. 10 matrix cannot be standardized",

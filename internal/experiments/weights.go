@@ -22,6 +22,8 @@ import (
 // The measures move exactly as Eqs. 4 and 6 dictate: task weighting reshapes
 // TDH (difficulty is mix-dependent), machine weighting reshapes MPH, and TMA
 // responds only insofar as the weighted matrix's affinity structure changes.
+// Each weighting is standardized cold: on a matrix this small a seed from
+// the uniform baseline saves no rounds and costs time (DESIGN.md §12).
 func Ex9Weights() ([]*Table, error) {
 	base := spec.CINT2006Rate()
 	t := &Table{
@@ -64,14 +66,10 @@ func Ex9Weights() ([]*Table, error) {
 		taskW[maxI] = 5
 		td[maxI] = -1
 	}
-	// The reweighted variants are nearby points in weight space, so their
-	// standardizations are warm-started from the baseline's scaling vectors
-	// (the uniform-weight row above left them memoized on base).
 	freq, err := base.WithWeights(taskW, nil)
 	if err != nil {
 		return nil, err
 	}
-	freq = freq.WithStandardFormSeed(base.StandardFormSeed())
 	if err := addRow("task frequency 5x on easy types", freq); err != nil {
 		return nil, err
 	}
@@ -81,7 +79,6 @@ func Ex9Weights() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	restricted = restricted.WithStandardFormSeed(base.StandardFormSeed())
 	if err := addRow("machines m1,m2 down-weighted 4x", restricted); err != nil {
 		return nil, err
 	}

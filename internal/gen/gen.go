@@ -17,6 +17,7 @@
 package gen
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -104,21 +105,15 @@ var ErrUnreachable = errors.New("gen: requested TMA not reachable for this shape
 // loop evaluates TMA with, and the sum buffers of the final rebalance. The
 // bisection runs entirely on raw matrices — no Env, no memo, no factor SVD —
 // so a warm Targeted call allocates only for its returned Env and Profile.
+// Each probe standardizes cold: the core converges in few rounds from
+// scratch, and a seed from the previous probe saved none of them while its
+// over-relaxed rounds cost time (DESIGN.md §12).
 type targetedScratch struct {
 	core   *matrix.Dense
 	sink   *sinkhorn.Workspace
 	spec   *linalg.Workspace
 	sv     []float64
 	cs, rs []float64
-
-	// warm carries the scaling vectors (and σ₂) of the previous probe's
-	// standardization: successive bisection probes differ only in the mixing
-	// parameter, so each one warm-starts from the last (see
-	// sinkhorn.WarmStart). warmOK gates the seed to converged results from
-	// the current Targeted call — it is reset when a scratch is checked out,
-	// so pooled state never seeds across unrelated calls.
-	warm   sinkhorn.WarmStart
-	warmOK bool
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -133,25 +128,14 @@ var scratchPool = sync.Pool{New: func() any {
 // matrix held in sc.core (paper Eq. 8): standardize, take the singular
 // values through the Gram fast path, and average the non-maximum ones.
 func (sc *targetedScratch) tma() (float64, error) {
-	t, m := sc.core.Dims()
-	var warm *sinkhorn.WarmStart
-	if sc.warmOK && sc.warm.Matches(t, m) {
-		warm = &sc.warm
-	}
-	res, err := sinkhorn.StandardizeWarmWS(sc.core, warm, sc.sink)
+	rt, ct := sinkhorn.StandardTargets(sc.core.Dims())
+	res, err := sinkhorn.Balance(context.Background(), sc.core, sinkhorn.Options{
+		RowTarget: rt, ColTarget: ct, TrimUnsupported: true, Workspace: sc.sink,
+	})
 	if err != nil {
-		sc.warmOK = false
 		return 0, err
 	}
-	// Bank this probe's scalings (cloned out of the workspace-backed Result)
-	// to seed the next one.
-	sc.warm.D1 = append(sc.warm.D1[:0], res.D1...)
-	sc.warm.D2 = append(sc.warm.D2[:0], res.D2...)
-	sc.warmOK = res.Converged
 	sc.sv = linalg.AppendSingularValues(sc.sv[:0], res.Scaled, sc.spec)
-	if len(sc.sv) > 1 {
-		sc.warm.Sigma2 = sc.sv[1]
-	}
 	sum := 0.0
 	for _, s := range sc.sv[1:] {
 		sum += s
@@ -196,7 +180,6 @@ func Targeted(target Target, rng *rand.Rand) (*Generated, error) {
 	// reads the spectrum through the Gram fast path — zero allocations per
 	// probe once the workspaces are warm.
 	sc := scratchPool.Get().(*targetedScratch)
-	sc.warmOK = false // seed probes only from earlier probes of this call
 	defer scratchPool.Put(sc)
 	tmaOf := func(a float64) (float64, error) {
 		affinityCoreInto(sc.core.Reset(t, m), a, rng)

@@ -144,6 +144,64 @@ func TestCharacterizeMalformed(t *testing.T) {
 	}
 }
 
+// TestJSONNestingDepthLimit pins the JSON scanner to encoding/json's nesting
+// limit, the body object counting as depth 1: an unknown key nested exactly
+// to depth 10,000 is accepted and one level deeper is rejected, as json.Valid
+// decides, in the one-shot, batch and stream-open decoders alike. The
+// one-shot body goes through the handler to pin the invalid_request code.
+func TestJSONNestingDepthLimit(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const env = `"etc":[[1,2],[3,4]]`
+	// nested returns an array nested so that its innermost level sits at the
+	// given depth when the array itself sits at depth at.
+	nested := func(depth, at int) string {
+		n := depth - at + 1
+		return strings.Repeat("[", n) + strings.Repeat("]", n)
+	}
+	batch := func(body string) error {
+		p := acquirePayload()
+		defer releasePayload(p)
+		return scanJSONBatch([]byte(body), p, func(error) {})
+	}
+	open := func(body string) error {
+		_, _, err := decodeStreamOpen([]byte(body))
+		return err
+	}
+	for _, depth := range []int{maxNestingDepth, maxNestingDepth + 1} {
+		want := depth <= maxNestingDepth
+		oneShot := `{` + env + `,"x":` + nested(depth, 2) + `}`
+		if json.Valid([]byte(oneShot)) != want {
+			t.Fatalf("depth %d: json.Valid = %v, want %v", depth, !want, want)
+		}
+		resp, body := post(t, ts, "/v1/characterize", "application/json", oneShot)
+		if want && resp.StatusCode != http.StatusOK {
+			t.Errorf("depth %d: status %d, want 200: %.200s", depth, resp.StatusCode, body)
+		}
+		if !want {
+			var e apiError
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal([]byte(body), &e) != nil || e.Error.Code != "invalid_request" {
+				t.Errorf("depth %d: status %d body %.200s, want 400 invalid_request", depth, resp.StatusCode, body)
+			}
+		}
+		for name, tc := range map[string]struct {
+			body   string
+			decode func(string) error
+		}{
+			"batch top-level key": {`{"x":` + nested(depth, 2) + `,"envs":[{` + env + `}]}`, batch},
+			"batch env key":       {`{"envs":[{` + env + `,"x":` + nested(depth, 4) + `}]}`, batch},
+			"open top-level key":  {`{"op":"open","x":` + nested(depth, 2) + `,"env":{` + env + `}}`, open},
+			"open env key":        {`{"op":"open","env":{` + env + `,"x":` + nested(depth, 3) + `}}`, open},
+		} {
+			if json.Valid([]byte(tc.body)) != want {
+				t.Fatalf("%s depth %d: json.Valid = %v, want %v", name, depth, !want, want)
+			}
+			if err := tc.decode(tc.body); (err == nil) != want {
+				t.Errorf("%s depth %d: decode error %v, want accepted = %v", name, depth, err, want)
+			}
+		}
+	}
+}
+
 // TestBodyLimit pins the oversized-body contract: exceeding MaxBodyBytes is
 // its own condition — 413 with the stable code body_too_large — on every
 // body-decoding endpoint, distinct from the 400 invalid_request class.

@@ -106,7 +106,7 @@ func (p *envPayload) reset() {
 // finalizes it.
 func (p *envPayload) parseJSONEnv(body []byte) error {
 	s := &jsonScanner{data: body}
-	if err := p.parseEnvObject(s); err != nil {
+	if err := p.parseEnvObject(s, 1); err != nil {
 		return err
 	}
 	if err := s.trailingCheck(); err != nil {
@@ -596,13 +596,23 @@ func (s *jsonScanner) literal(lit string) error {
 	return nil
 }
 
-// skipValue consumes one JSON value of any shape (unknown keys).
-func (s *jsonScanner) skipValue() error {
+// maxNestingDepth is encoding/json's nesting limit. Depths count the body
+// object as 1, as encoding/json does, so both reject the same bodies; the
+// limit also bounds skipValue's recursion.
+const maxNestingDepth = 10000
+
+// skipValue consumes one JSON value of any shape (unknown keys) held by a
+// container at the given nesting depth.
+func (s *jsonScanner) skipValue(depth int) error {
 	s.skipWS()
 	if s.pos >= len(s.data) {
 		return errors.New("unexpected end of body")
 	}
-	switch c := s.data[s.pos]; c {
+	c := s.data[s.pos]
+	if (c == '{' || c == '[') && depth >= maxNestingDepth {
+		return s.errf("exceeded max depth %d", maxNestingDepth)
+	}
+	switch c {
 	case '"':
 		_, err := s.readStringBytes()
 		return err
@@ -620,7 +630,7 @@ func (s *jsonScanner) skipValue() error {
 			if err := s.expect(':'); err != nil {
 				return err
 			}
-			if err := s.skipValue(); err != nil {
+			if err := s.skipValue(depth + 1); err != nil {
 				return err
 			}
 			d, err := s.delim(',', '}')
@@ -639,7 +649,7 @@ func (s *jsonScanner) skipValue() error {
 			return nil
 		}
 		for {
-			if err := s.skipValue(); err != nil {
+			if err := s.skipValue(depth + 1); err != nil {
 				return err
 			}
 			d, err := s.delim(',', ']')
@@ -720,8 +730,9 @@ func (s *jsonScanner) readFloatArray() ([]float64, error) {
 
 // parseEnvObject scans one EnvDTO-shaped object into p. Tokenization failures
 // return an error and abort; semantic failures land in p.semErr and scanning
-// continues so a batch stays in sync with its remaining items.
-func (p *envPayload) parseEnvObject(s *jsonScanner) error {
+// continues so a batch stays in sync with its remaining items. depth is the
+// object's own nesting depth (a whole-body object is 1).
+func (p *envPayload) parseEnvObject(s *jsonScanner, depth int) error {
 	if err := s.expect('{'); err != nil {
 		return err
 	}
@@ -762,7 +773,7 @@ func (p *envPayload) parseEnvObject(s *jsonScanner) error {
 		case field == "machineWeights":
 			p.machineWeights, err = s.readFloatArray()
 		default:
-			err = s.skipValue()
+			err = s.skipValue(depth)
 		}
 		if err != nil {
 			return err
@@ -985,7 +996,7 @@ func scanJSONBatch(body []byte, p *envPayload, fn func(itemErr error)) error {
 			} else {
 				for {
 					p.reset()
-					if err := p.parseEnvObject(s); err != nil {
+					if err := p.parseEnvObject(s, 3); err != nil {
 						return err
 					}
 					fn(p.finalize())
@@ -998,7 +1009,7 @@ func scanJSONBatch(body []byte, p *envPayload, fn func(itemErr error)) error {
 					}
 				}
 			}
-		} else if err := s.skipValue(); err != nil {
+		} else if err := s.skipValue(1); err != nil {
 			return err
 		}
 		d, err := s.delim(',', '}')
@@ -1070,11 +1081,11 @@ func scanStreamOpen(s *jsonScanner, p *envPayload) (op []byte, hasEnv bool, tol 
 		case field == "env":
 			p.reset()
 			hasEnv = true
-			err = p.parseEnvObject(s)
+			err = p.parseEnvObject(s, 2)
 		case field == "driftTolerance":
 			tol, err = s.readFloat()
 		default:
-			err = s.skipValue()
+			err = s.skipValue(1)
 		}
 		if err != nil {
 			return nil, false, 0, err

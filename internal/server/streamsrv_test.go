@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/etcmat"
 	"repro/internal/matrix"
 	"repro/internal/obs"
+	"repro/internal/sinkhorn"
 	"repro/internal/wire"
 )
 
@@ -708,8 +710,19 @@ func TestStreamOpenHonorsContext(t *testing.T) {
 // carries the content key and names /v1/characterize derives from the same
 // env object, and the opening profile is bit for bit the one the session
 // solver gives for that object decoded through encoding/json and EnvDTO.
-// (The session's cold solve runs at its own Sinkhorn tolerance, so its TMA
-// is not the one-shot's to the last bit.)
+// The session's cold solve runs at core.StreamSolveTol and the one-shot at
+// sinkhorn.DefaultTol, so against /v1/characterize the open matches MPH and
+// TDH exactly and TMA only to the one-shot's tolerance: on this environment
+// they differ by 4.5e-10.
+//
+// The TMA bound, to first order: a solve stops with row sums exact and every
+// column sum within δ of its target (1 for a square matrix). The log-scaling
+// corrections still owed shrink by σ₂² per round, so they total at most
+// δ/(1−σ₂²) per row and per column, and the stopped matrix lies within
+// 2δ/(1−σ₂²)·‖S‖₂ of the standard form S in spectral norm. ‖S‖₂ = σ₁ = 1
+// (Theorem 2), and by Weyl's inequality no singular value, hence not TMA,
+// moves further. Both solves err that way, so the two TMAs differ by at most
+// 2(DefaultTol + StreamSolveTol)/(1−σ₂²), here 3.7e-8.
 func TestStreamOpenMatchesCharacterize(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	envJSON := `{"etc":[[10,"inf",4.25e1],[15.5,12,3e1],[25,0.5e2,9.125]],` +
@@ -759,6 +772,20 @@ func TestStreamOpenMatchesCharacterize(t *testing.T) {
 	}
 	if got, _ := json.Marshal(u.Profile); string(got) != string(want) {
 		t.Errorf("stream open profile differs from the reference decode:\n got  %s\n want %s", got, want)
+	}
+
+	resp, body = post(t, ts, "/v1/characterize", "application/json", envJSON)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("characterize: %d %s", resp.StatusCode, body)
+	}
+	oneShot := decodeProfile(t, body)
+	if oneShot.MPH != u.Profile.MPH || oneShot.TDH != u.Profile.TDH {
+		t.Errorf("MPH/TDH: one-shot %v/%v, stream open %v/%v", oneShot.MPH, oneShot.TDH, u.Profile.MPH, u.Profile.TDH)
+	}
+	_, sv, _ := me.Env().StandardForm()
+	bound := 2 * (sinkhorn.DefaultTol + core.StreamSolveTol) / (1 - sv[1]*sv[1])
+	if d := math.Abs(*oneShot.TMA - *u.Profile.TMA); d > bound {
+		t.Errorf("TMA: one-shot %.17g, stream open %.17g, %g apart (bound %g)", *oneShot.TMA, *u.Profile.TMA, d, bound)
 	}
 }
 

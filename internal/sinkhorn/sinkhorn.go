@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/bipartite"
 	"repro/internal/matrix"
@@ -35,7 +34,8 @@ type Options struct {
 	// (both equal the total mass of the scaled matrix).
 	RowTarget, ColTarget float64
 	// Tol is the convergence tolerance on the maximum absolute deviation of
-	// any row or column sum from its target. The paper uses 1e-8 (Sec. V).
+	// any row or column sum from its target. The paper uses 1e-8 (Sec. V);
+	// zero selects it (DefaultTol).
 	Tol float64
 	// MaxIter caps the number of iterations, where one iteration is one
 	// column normalization followed by one row normalization (the paper's
@@ -52,6 +52,16 @@ type Options struct {
 	// count means the original matrix is not exactly scalable by finite
 	// positive diagonal matrices (the paper's Fig. 4 A/B/D situation).
 	TrimUnsupported bool
+	// Warm optionally seeds the run with the scaling vectors of a previous
+	// run on a nearby matrix (see WarmStart); nil starts cold. The returned
+	// D1/D2 include the seed factors, so Scaled = D1 · A · D2 holds for warm
+	// and cold runs alike.
+	Warm *WarmStart
+	// Workspace optionally supplies reusable scratch storage. When set, the
+	// returned Result and its Scaled/D1/D2 fields are backed by it: they are
+	// valid only until the next run on the same Workspace and must be cloned
+	// to outlive it. Nil allocates fresh caller-owned storage.
+	Workspace *Workspace
 }
 
 // DefaultTol is the convergence tolerance used in the paper's experiments
@@ -101,9 +111,8 @@ var ErrNoSupport = errors.New("sinkhorn: zero pattern has no support (no positiv
 // Workspace carries the scratch state of a balancing run — the working
 // matrix, the accumulated scaling diagonals and the fused-pass sum buffers —
 // so Monte Carlo sweeps that standardize thousands of matrices reuse one
-// allocation set instead of paying ~6 allocations per call. A Workspace is
-// not safe for concurrent use; pool one per goroutine with
-// GetWorkspace/PutWorkspace.
+// allocation set instead of paying ~6 allocations per call (see
+// Options.Workspace). A Workspace is not safe for concurrent use.
 type Workspace struct {
 	w              *matrix.Dense
 	d1, d2, cs, rs []float64
@@ -112,15 +121,6 @@ type Workspace struct {
 
 // NewWorkspace returns an empty balancing workspace; buffers grow on use.
 func NewWorkspace() *Workspace { return &Workspace{w: matrix.New(0, 0)} }
-
-var workspacePool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// GetWorkspace fetches a balancing workspace from the shared pool.
-func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
-
-// PutWorkspace returns a workspace to the shared pool. Results produced
-// through ws become invalid; the caller must not use either afterwards.
-func PutWorkspace(ws *Workspace) { workspacePool.Put(ws) }
 
 func growVec(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
@@ -140,10 +140,12 @@ func growVec(buf *[]float64, n int) []float64 {
 // convergence tolerance.
 //
 // When Sigma2 is also set, the warm run over-relaxes each normalization
-// (see the omega computation in BalanceWarmWS), which roughly squares the
-// per-round contraction near the fixed point. Combined, seeding plus
-// over-relaxation typically converges in 2-3x fewer rounds than a cold
-// start for percent-level perturbations.
+// (see omega), which roughly squares the per-round contraction near the
+// fixed point. The over-relaxation, not the seed, carries the gain: on a
+// well-mixing matrix a cold run converges in about as many rounds as a
+// seeded one and skips the seed's bookkeeping, while on a nearly
+// decomposable one (σ₂ near 1) σ₂-tuned SOR cuts the rounds several-fold
+// and the seed alone does not (see DESIGN.md §12).
 type WarmStart struct {
 	// D1 and D2 are the row and column scaling seeds, usually a previous
 	// Result's D1 and D2 (cloned if that Result was workspace-backed).
@@ -269,21 +271,13 @@ func (w *WarmStart) omega() float64 {
 }
 
 // Balance runs alternating column/row normalization (the paper's Eq. 9) on a
-// nonnegative matrix. On ErrNotConverged the returned Result still carries
-// the last iterate and diagnostics.
-func Balance(a *matrix.Dense, opt Options) (*Result, error) {
-	return BalanceWarmWS(a, opt, nil, nil)
-}
-
-// BalanceWarmWS is Balance seeded with the scaling vectors of a previous run
-// on a nearby matrix (see WarmStart) and running on a reusable workspace. A
-// nil warm starts cold; the returned D1/D2 include the seed factors, so
-// Scaled = D1 · A · D2 holds for warm and cold runs alike. With a non-nil ws
-// the returned Result and its Scaled/D1/D2 fields are backed by ws-owned
-// storage: they are valid only until the next call with the same workspace,
-// and must be cloned to outlive it. A nil ws allocates fresh caller-owned
-// storage.
-func BalanceWarmWS(a *matrix.Dense, opt Options, warm *WarmStart, ws *Workspace) (*Result, error) {
+// nonnegative matrix, optionally warm-started (Options.Warm) and on a
+// reusable workspace (Options.Workspace). When ctx carries an obs.Trace the
+// run is recorded as a "standardize" span. On ErrNotConverged the returned
+// Result still carries the last iterate and diagnostics.
+func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error) {
+	sp := obs.StartSpan(ctx, "standardize")
+	defer sp.End()
 	t, m := a.Dims()
 	if t == 0 || m == 0 {
 		return nil, errors.New("sinkhorn: empty matrix")
@@ -306,32 +300,22 @@ func BalanceWarmWS(a *matrix.Dense, opt Options, warm *WarmStart, ws *Workspace)
 	if maxIter <= 0 {
 		maxIter = 10000
 	}
+	warm, ws := opt.Warm, opt.Workspace
 	if err := warm.valid(t, m); err != nil {
 		return nil, err
 	}
 
-	var (
-		w              *matrix.Dense
-		d1, d2, cs, rs []float64
-		res            *Result
-	)
-	if ws != nil {
-		w = ws.w.Reset(t, m)
-		copy(w.RawData(), a.RawData())
-		d1 = fillOnes(growVec(&ws.d1, t))
-		d2 = fillOnes(growVec(&ws.d2, m))
-		cs = growVec(&ws.cs, m)
-		rs = growVec(&ws.rs, t)
-		ws.res = Result{}
-		res = &ws.res
-	} else {
-		w = a.Clone()
-		d1 = ones(t)
-		d2 = ones(m)
-		cs = make([]float64, m)
-		rs = make([]float64, t)
-		res = &Result{}
+	if ws == nil {
+		ws = NewWorkspace() // fresh storage the caller alone holds
 	}
+	w := ws.w.Reset(t, m)
+	copy(w.RawData(), a.RawData())
+	d1 := fillOnes(growVec(&ws.d1, t))
+	d2 := fillOnes(growVec(&ws.d2, m))
+	cs := growVec(&ws.cs, m)
+	rs := growVec(&ws.rs, t)
+	ws.res = Result{}
+	res := &ws.res
 
 	trimmed := 0
 	if opt.TrimUnsupported && w.CountZeros() > 0 {
@@ -495,20 +479,8 @@ func trimUnsupported(w *matrix.Dense) (int, error) {
 		}
 		return zeroUnsupported(w, func(i, j int) bool { return supported[i*m+j] }), nil
 	}
-	g := gcd(t, m)
-	blockRows := m / g
-	blockCols := t / g
-	n := t * blockRows
-	square := matrix.New(n, n)
-	for br := 0; br < blockRows; br++ {
-		for bc := 0; bc < blockCols; bc++ {
-			for i := 0; i < t; i++ {
-				for j := 0; j < m; j++ {
-					square.Set(br*t+i, bc*m+j, w.At(i, j))
-				}
-			}
-		}
-	}
+	square, blockRows, blockCols := tileSquare(w)
+	n := square.Rows()
 	p := bipartite.PatternOf(square, 0)
 	if !p.HasSupport() {
 		return 0, ErrNoSupport
@@ -571,51 +543,15 @@ func StandardTargets(t, m int) (rowTarget, colTarget float64) {
 }
 
 // Standardize balances a T×M ECS matrix to the paper's standard form using
-// the paper's tolerance. Square matrices with zeros are trimmed to their
-// totally supported pattern first so the entrywise Sinkhorn limit is reached
-// with geometric convergence (see Options.TrimUnsupported). See Balance for
-// error semantics.
+// the paper's tolerance. Matrices with zeros are trimmed to their totally
+// supported pattern first so the entrywise Sinkhorn limit is reached with
+// geometric convergence (see Options.TrimUnsupported). See Balance for
+// error semantics; callers that seed, reuse a workspace, trace or tighten
+// the tolerance call Balance with StandardTargets and TrimUnsupported.
 func Standardize(a *matrix.Dense) (*Result, error) {
-	return StandardizeWarmWS(a, nil, nil)
+	rt, ct := StandardTargets(a.Dims())
+	return Balance(context.Background(), a, Options{RowTarget: rt, ColTarget: ct, TrimUnsupported: true})
 }
-
-// StandardizeWarmWS is Standardize seeded with the scaling vectors of a
-// previous standardization of a nearby matrix (see WarmStart) and running on
-// a reusable workspace (see BalanceWarmWS for the lifetime rules of the
-// returned Result when ws is non-nil): the what-if and sweep hot paths,
-// where each solve differs from the last by one row, one column or a
-// percent-level perturbation, converge in a fraction of the cold iterations
-// while reaching the identical standard form. A nil warm starts cold.
-func StandardizeWarmWS(a *matrix.Dense, warm *WarmStart, ws *Workspace) (*Result, error) {
-	return StandardizeWarmTolCtx(context.Background(), a, warm, ws, DefaultTol)
-}
-
-// StandardizeWarmTolCtx is StandardizeWarmWS with an explicit convergence
-// tolerance (non-positive selects DefaultTol) and stage tracing: when ctx
-// carries an obs.Trace, the balancing run is recorded as a "standardize"
-// span. The streaming incremental characterizer solves at a tighter
-// tolerance than the paper's default so that chained warm results stay
-// within 1e-10 of a cold solve of the same tightness — at DefaultTol both
-// iterates stop inside a 1e-8 ball whose TMA spread is a few 1e-10.
-func StandardizeWarmTolCtx(ctx context.Context, a *matrix.Dense, warm *WarmStart, ws *Workspace, tol float64) (*Result, error) {
-	sp := obs.StartSpan(ctx, "standardize")
-	defer sp.End()
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	rt, ct := StandardTargets(a.Rows(), a.Cols())
-	return BalanceWarmWS(a, Options{RowTarget: rt, ColTarget: ct, Tol: tol, TrimUnsupported: true}, warm, ws)
-}
-
-// DoublyStochastic balances a square matrix to row and column sums of 1.
-func DoublyStochastic(a *matrix.Dense) (*Result, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("sinkhorn: DoublyStochastic requires a square matrix, got %dx%d", a.Rows(), a.Cols())
-	}
-	return Balance(a, Options{RowTarget: 1, ColTarget: 1, Tol: DefaultTol})
-}
-
-func ones(n int) []float64 { return fillOnes(make([]float64, n)) }
 
 func fillOnes(v []float64) []float64 {
 	for i := range v {

@@ -1,6 +1,7 @@
 package sinkhorn
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -49,9 +50,9 @@ func TestStandardTargets(t *testing.T) {
 func TestBalancePositiveSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	a := randPositive(rng, 6, 6)
-	res, err := DoublyStochastic(a)
+	res, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1})
 	if err != nil {
-		t.Fatalf("DoublyStochastic: %v", err)
+		t.Fatalf("Balance: %v", err)
 	}
 	if !res.Converged {
 		t.Fatal("did not converge on positive matrix")
@@ -144,7 +145,7 @@ func TestStandardFormInvariantToDiagonalPrescaling(t *testing.T) {
 func TestBalanceAlreadyStandardConvergesImmediately(t *testing.T) {
 	// A constant 2x2 matrix with entries 1/2 is doubly stochastic.
 	a := matrix.Constant(2, 2, 0.5)
-	res, err := DoublyStochastic(a)
+	res, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestBalanceAlreadyStandardConvergesImmediately(t *testing.T) {
 
 func TestBalanceZeroRowRejected(t *testing.T) {
 	a := matrix.FromRows([][]float64{{0, 0}, {1, 2}})
-	_, err := DoublyStochastic(a)
+	_, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1})
 	if !errors.Is(err, ErrZeroLine) {
 		t.Errorf("err = %v, want ErrZeroLine", err)
 	}
@@ -163,7 +164,7 @@ func TestBalanceZeroRowRejected(t *testing.T) {
 
 func TestBalanceZeroColRejected(t *testing.T) {
 	a := matrix.FromRows([][]float64{{0, 1}, {0, 2}})
-	_, err := DoublyStochastic(a)
+	_, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1})
 	if !errors.Is(err, ErrZeroLine) {
 		t.Errorf("err = %v, want ErrZeroLine", err)
 	}
@@ -171,14 +172,14 @@ func TestBalanceZeroColRejected(t *testing.T) {
 
 func TestBalanceNegativeRejected(t *testing.T) {
 	a := matrix.FromRows([][]float64{{1, -1}, {1, 2}})
-	if _, err := DoublyStochastic(a); err == nil {
+	if _, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1}); err == nil {
 		t.Error("negative input accepted")
 	}
 }
 
 func TestBalanceInconsistentTargetsRejected(t *testing.T) {
 	a := matrix.Constant(2, 3, 1)
-	_, err := Balance(a, Options{RowTarget: 1, ColTarget: 1})
+	_, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1})
 	if err == nil {
 		t.Error("inconsistent targets accepted (2*1 != 3*1)")
 	}
@@ -186,7 +187,7 @@ func TestBalanceInconsistentTargetsRejected(t *testing.T) {
 
 func TestBalanceBadTargetsRejected(t *testing.T) {
 	a := matrix.Constant(2, 2, 1)
-	if _, err := Balance(a, Options{RowTarget: 0, ColTarget: 1}); err == nil {
+	if _, err := Balance(context.Background(), a, Options{RowTarget: 0, ColTarget: 1}); err == nil {
 		t.Error("zero target accepted")
 	}
 }
@@ -199,7 +200,7 @@ func TestEq10DoesNotConverge(t *testing.T) {
 		{1, 0, 1},
 		{0, 1, 1},
 	})
-	res, err := Balance(a, Options{RowTarget: 1, ColTarget: 1, MaxIter: 500})
+	res, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1, MaxIter: 500})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -237,7 +238,7 @@ func TestSupportWithoutTotalSupportConvergesEntrywise(t *testing.T) {
 // tolerance is not reached.
 func TestSupportWithoutTotalSupportRawIterationApproachesLimit(t *testing.T) {
 	a := matrix.FromRows([][]float64{{10, 0}, {45, 55}})
-	res, err := Balance(a, Options{RowTarget: 1, ColTarget: 1, MaxIter: 5000})
+	res, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1, MaxIter: 5000})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("raw iteration should not reach 1e-8 here, got err = %v", err)
 	}
@@ -334,17 +335,11 @@ func TestConvergenceSpeedOnMildMatrices(t *testing.T) {
 func TestBalanceDoesNotMutateInput(t *testing.T) {
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
 	orig := a.Clone()
-	if _, err := DoublyStochastic(a); err != nil {
+	if _, err := Balance(context.Background(), a, Options{RowTarget: 1, ColTarget: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.EqualTol(a, orig, 0) {
 		t.Error("Balance mutated its input")
-	}
-}
-
-func TestDoublyStochasticRequiresSquare(t *testing.T) {
-	if _, err := DoublyStochastic(matrix.New(2, 3)); err == nil {
-		t.Error("non-square accepted by DoublyStochastic")
 	}
 }
 
@@ -360,7 +355,7 @@ func TestBalanceCustomK(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	a := randPositive(rng, 3, 4)
 	k := 2.5
-	res, err := Balance(a, Options{RowTarget: 4 * k, ColTarget: 3 * k})
+	res, err := Balance(context.Background(), a, Options{RowTarget: 4 * k, ColTarget: 3 * k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sinkhorn
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -12,7 +13,7 @@ import (
 //   - the Appendix A square-tiling construction (BalanceViaTiling), kept as
 //     an independent cross-check of the direct rectangular iteration, and
 //   - the cache-oblivious tiled balance passes (ScaleColsRowSumsTiled /
-//     ScaleRowsColSumsTiled) that BalanceWarmWS switches to for fleet-sized
+//     ScaleRowsColSumsTiled) that Balance switches to for fleet-sized
 //     matrices, where a whole row no longer fits the cache hierarchy
 //     comfortably and the factor/sum vectors alone run to hundreds of
 //     kilobytes.
@@ -32,7 +33,7 @@ import (
 // while the kernel streams the tile.
 const balanceTileCells = 32 * 1024
 
-// tiledBalanceMin is the matrix size (in cells) at which BalanceWarmWS
+// tiledBalanceMin is the matrix size (in cells) at which Balance
 // switches its fused passes to the tiled walk. 2 Mi cells is 16 MiB — past
 // any L2 and into last-level-cache territory, where the tiled walk starts
 // paying for its recursion. Below it the plain row-streaming passes are
@@ -114,32 +115,14 @@ func BalanceViaTiling(a *matrix.Dense, opt Options) (*Result, error) {
 	if total := float64(t) * opt.RowTarget; math.Abs(total-float64(m)*opt.ColTarget) > 1e-9*total {
 		return nil, fmt.Errorf("sinkhorn: inconsistent targets")
 	}
-	g := gcd(t, m)
-	// Appendix A tiles a T×M matrix into a (M/g)×(T/g) arrangement of
-	// blocks, producing an n×n square with n = T·M/g.
-	blockRows := m / g // how many copies stacked vertically
-	blockCols := t / g // how many copies side by side
-	n := t * blockRows // == m * blockCols
-	if n != m*blockCols {
-		return nil, fmt.Errorf("sinkhorn: internal tiling mismatch %d != %d", n, m*blockCols)
-	}
-	square := matrix.New(n, n)
-	for br := 0; br < blockRows; br++ {
-		for bc := 0; bc < blockCols; bc++ {
-			for i := 0; i < t; i++ {
-				for j := 0; j < m; j++ {
-					square.Set(br*t+i, bc*m+j, a.At(i, j))
-				}
-			}
-		}
-	}
+	square, blockRows, blockCols := tileSquare(a)
 	tol := opt.Tol
 	if tol <= 0 {
 		tol = DefaultTol
 	}
 	// Tighter tolerance on the square problem so block-averaging error stays
 	// below the caller's tolerance.
-	sq, err := Balance(square, Options{RowTarget: 1, ColTarget: 1, Tol: tol / 10, MaxIter: opt.MaxIter})
+	sq, err := Balance(context.Background(), square, Options{RowTarget: 1, ColTarget: 1, Tol: tol / 10, MaxIter: opt.MaxIter})
 	if err != nil {
 		return nil, fmt.Errorf("sinkhorn: tiled square balance: %w", err)
 	}
@@ -184,11 +167,25 @@ func BalanceViaTiling(a *matrix.Dense, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// StandardizeViaTiling is BalanceViaTiling with the paper's standard-form
-// targets (Theorem 1 with k = 1/√(TM)).
-func StandardizeViaTiling(a *matrix.Dense) (*Result, error) {
-	rt, ct := StandardTargets(a.Rows(), a.Cols())
-	return BalanceViaTiling(a, Options{RowTarget: rt, ColTarget: ct, Tol: DefaultTol})
+// tileSquare builds the Appendix A square tiling of a T×M matrix: a
+// (M/g)×(T/g) arrangement of copies (g = gcd(T, M)), n×n with n = T·M/g.
+// blockRows copies are stacked vertically, blockCols side by side.
+func tileSquare(a *matrix.Dense) (square *matrix.Dense, blockRows, blockCols int) {
+	t, m := a.Dims()
+	g := gcd(t, m)
+	blockRows, blockCols = m/g, t/g
+	n := t * blockRows
+	square = matrix.New(n, n)
+	for br := 0; br < blockRows; br++ {
+		for bc := 0; bc < blockCols; bc++ {
+			for i := 0; i < t; i++ {
+				for j := 0; j < m; j++ {
+					square.Set(br*t+i, bc*m+j, a.At(i, j))
+				}
+			}
+		}
+	}
+	return square, blockRows, blockCols
 }
 
 func gcd(a, b int) int {

@@ -27,7 +27,8 @@ func TestTilingMatchesDirectStandardization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v direct: %v", dims, err)
 		}
-		tiled, err := StandardizeViaTiling(a)
+		rt, ct := StandardTargets(a.Dims())
+		tiled, err := BalanceViaTiling(a, Options{RowTarget: rt, ColTarget: ct})
 		if err != nil {
 			t.Fatalf("%v tiled: %v", dims, err)
 		}
@@ -42,7 +43,8 @@ func TestTilingMatchesDirectStandardization(t *testing.T) {
 func TestTilingHitsTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a := randPositive(rng, 6, 4)
-	res, err := StandardizeViaTiling(a)
+	rowT, colT := StandardTargets(a.Dims())
+	res, err := BalanceViaTiling(a, Options{RowTarget: rowT, ColTarget: colT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,8 @@ func TestTilingScalingsUniqueUpToScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := StandardizeViaTiling(a)
+	rt, ct := StandardTargets(a.Dims())
+	tiled, err := BalanceViaTiling(a, Options{RowTarget: rt, ColTarget: ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,8 @@ func TestTilingScalingsUniqueUpToScalar(t *testing.T) {
 
 func TestTilingRejectsNonPositive(t *testing.T) {
 	a := matrix.FromRows([][]float64{{1, 0}, {1, 1}})
-	if _, err := StandardizeViaTiling(a); err == nil {
+	rt, ct := StandardTargets(a.Dims())
+	if _, err := BalanceViaTiling(a, Options{RowTarget: rt, ColTarget: ct}); err == nil {
 		t.Error("matrix with zero accepted by tiling path (Appendix A needs positivity)")
 	}
 }
@@ -161,7 +165,8 @@ func TestTilingSquareDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := StandardizeViaTiling(a)
+	rt, ct := StandardTargets(a.Dims())
+	tiled, err := BalanceViaTiling(a, Options{RowTarget: rt, ColTarget: ct})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package sinkhorn_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,6 +50,14 @@ func warmOf(res *sinkhorn.Result) *sinkhorn.WarmStart {
 	}
 }
 
+// standardize is sinkhorn.Standardize with a seed and an optional workspace.
+func standardize(a *matrix.Dense, warm *sinkhorn.WarmStart, ws *sinkhorn.Workspace) (*sinkhorn.Result, error) {
+	rt, ct := sinkhorn.StandardTargets(a.Dims())
+	return sinkhorn.Balance(context.Background(), a, sinkhorn.Options{
+		RowTarget: rt, ColTarget: ct, TrimUnsupported: true, Warm: warm, Workspace: ws,
+	})
+}
+
 // tmaOf computes the TMA aggregate (paper Eq. 8: mean of the subdominant
 // singular values of the standard form) that Profile.TMA is built from.
 func tmaOf(res *sinkhorn.Result) float64 {
@@ -84,11 +93,12 @@ func TestWarmStartMatchesCold(t *testing.T) {
 		}
 		rowT, colT := sinkhorn.StandardTargets(r, c)
 		opt := sinkhorn.Options{RowTarget: rowT, ColTarget: colT, Tol: 1e-12, TrimUnsupported: true}
-		cold, err := sinkhorn.Balance(a, opt)
+		cold, err := sinkhorn.Balance(context.Background(), a, opt)
 		if err != nil {
 			return false
 		}
-		warm, err := sinkhorn.BalanceWarmWS(a, opt, warmOf(base), nil)
+		opt.Warm = warmOf(base)
+		warm, err := sinkhorn.Balance(context.Background(), a, opt)
 		if err != nil {
 			return false
 		}
@@ -133,7 +143,7 @@ func TestWarmStartFewerIterations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := sinkhorn.StandardizeWarmWS(a, seed, nil)
+			warm, err := standardize(a, seed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +174,7 @@ func TestWarmStartExactSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := sinkhorn.StandardizeWarmWS(a, warmOf(base), nil)
+	again, err := standardize(a, warmOf(base), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +201,12 @@ func TestWarmStartWorkspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Set(3, 5, a.At(3, 5)*1.02)
-	fresh, err := sinkhorn.StandardizeWarmWS(a, warmOf(base), nil)
+	fresh, err := standardize(a, warmOf(base), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := sinkhorn.GetWorkspace()
-	defer sinkhorn.PutWorkspace(ws)
-	pooled, err := sinkhorn.StandardizeWarmWS(a, warmOf(base), ws)
+	ws := sinkhorn.NewWorkspace()
+	pooled, err := standardize(a, warmOf(base), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +233,7 @@ func TestWarmStartValidation(t *testing.T) {
 		{D1: []float64{1, 1, 1, 1}, D2: []float64{1, 1, 1}, Sigma2: math.Inf(1)}, // infinite sigma2
 	}
 	for i, warm := range cases {
-		if _, err := sinkhorn.StandardizeWarmWS(a, warm, nil); err == nil {
+		if _, err := standardize(a, warm, nil); err == nil {
 			t.Errorf("case %d: invalid warm start accepted", i)
 		}
 	}
@@ -234,7 +243,7 @@ func TestWarmStartValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sinkhorn.StandardizeWarmWS(a, &sinkhorn.WarmStart{
+	if _, err := standardize(a, &sinkhorn.WarmStart{
 		D1: matrix.VecClone(base.D1), D2: matrix.VecClone(base.D2), Sigma2: 1.5,
 	}, nil); err != nil {
 		t.Errorf("out-of-range sigma2 should disable SOR, not fail: %v", err)
@@ -244,7 +253,7 @@ func TestWarmStartValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nilWarm, err := sinkhorn.StandardizeWarmWS(a, nil, nil)
+	nilWarm, err := standardize(a, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +290,7 @@ func TestWarmStartRowRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sinkhorn.StandardizeWarmWS(reduced, &sinkhorn.WarmStart{
+	warm, err := standardize(reduced, &sinkhorn.WarmStart{
 		D1: d1, D2: matrix.VecClone(seed.D2), Sigma2: seed.Sigma2,
 	}, nil)
 	if err != nil {

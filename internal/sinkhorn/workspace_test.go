@@ -1,6 +1,7 @@
 package sinkhorn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,8 @@ func TestBalanceWSMatchesBalance(t *testing.T) {
 		c := 2 + rng.Intn(12)
 		a := randPositive(rng, r, c)
 		fresh, errF := Standardize(a)
-		pooled, errW := StandardizeWarmWS(a, nil, ws)
+		rt, ct := StandardTargets(a.Dims())
+		pooled, errW := Balance(context.Background(), a, Options{RowTarget: rt, ColTarget: ct, TrimUnsupported: true, Workspace: ws})
 		if (errF == nil) != (errW == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errF, errW)
 		}
@@ -43,11 +45,12 @@ func TestBalanceWSDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	a := randPositive(rng, 5, 7)
 	orig := a.Clone()
-	if _, err := StandardizeWarmWS(a, nil, NewWorkspace()); err != nil {
+	rt, ct := StandardTargets(a.Dims())
+	if _, err := Balance(context.Background(), a, Options{RowTarget: rt, ColTarget: ct, TrimUnsupported: true, Workspace: NewWorkspace()}); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.EqualTol(a, orig, 0) {
-		t.Error("StandardizeWarmWS mutated its input")
+		t.Error("Balance mutated its input")
 	}
 }
 
@@ -57,15 +60,17 @@ func TestBalanceWSZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a := randPositive(rng, 16, 8)
 	ws := NewWorkspace()
-	if _, err := StandardizeWarmWS(a, nil, ws); err != nil { // warm the buffers
+	rt, ct := StandardTargets(a.Dims())
+	opt := Options{RowTarget: rt, ColTarget: ct, TrimUnsupported: true, Workspace: ws}
+	if _, err := Balance(context.Background(), a, opt); err != nil { // warm the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := StandardizeWarmWS(a, nil, ws); err != nil {
+		if _, err := Balance(context.Background(), a, opt); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm StandardizeWarmWS allocates %g times per op, want 0", allocs)
+		t.Errorf("warm Balance allocates %g times per op, want 0", allocs)
 	}
 }
