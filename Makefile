@@ -144,12 +144,14 @@ streamload:
 	scripts/streamload.sh
 
 # Short fuzz runs (the CI smoke step): the binary frame decoder, the JSON
-# scanner's fused number parser against strconv, and the whole JSON env
-# scanner against encoding/json. -fuzz takes one target per run.
+# scanner's fused number parser against strconv, the whole JSON env scanner
+# against encoding/json, and the Gram and Householder kernels against their
+# bit-exact reference loops. -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run Fuzz -fuzz=FuzzParseNumber -fuzztime=10s ./internal/server
 	$(GO) test -run Fuzz -fuzz=FuzzEnvJSON -fuzztime=10s ./internal/server
+	$(GO) test -run Fuzz -fuzz=FuzzSpectralKernels -fuzztime=10s ./internal/linalg
 
 clean:
 	$(GO) clean ./...

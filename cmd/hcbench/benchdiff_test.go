@@ -256,7 +256,7 @@ func TestServeDiffGatesStreamSpeedup(t *testing.T) {
 func writeScaleReport(t *testing.T, dir, name string, results []scaleResult) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	data, err := json.Marshal(scaleReport{Kind: "scale", GoMaxProcs: 1, NumCPU: 1, Workers: 2, Results: results})
+	data, err := json.Marshal(scaleReport{Kind: "scale", GoMaxProcs: 1, NumCPU: 1, Results: results})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,6 +265,18 @@ func runBenchmarks(path string) error {
 				buf = linalg.AppendSingularValues(buf[:0], svdIn, ws)
 			}
 		})))
+	// The cold_bin serving shape: the O(k³) Gram and Householder kernels
+	// dominate here, where at 60×40 the QL sweep still weighs in.
+	bigIn := benchMatrix(512, 256, 5)
+	report.Results = append(report.Results, record("SingularValues/spectral/512x256",
+		testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			ws := linalg.NewWorkspace()
+			var buf []float64
+			for i := 0; i < b.N; i++ {
+				buf = linalg.AppendSingularValues(buf[:0], bigIn, ws)
+			}
+		})))
 	symIn := benchMatrix(48, 48, 2)
 	sym := matrix.New(48, 48)
 	for i := 0; i < 48; i++ {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -14,13 +13,12 @@ import (
 	"repro/internal/etcmat"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/sinkhorn"
 )
 
 // The -scalebench mode measures the fleet-scale numeric core at environment
-// sizes far past the kernel suite's 60×40 shapes: the blocked Gram kernels
-// (serial and parallel), the values-only spectral pipeline, the tiled
+// sizes far past the kernel suite's 60×40 shapes: the blocked Gram kernel,
+// the values-only spectral pipeline, the tiled
 // Sinkhorn balance passes and an end-to-end characterization. The report is
 // machine-readable ("kind": "scale") and diffs through -benchdiff: records
 // at the gate size (1000) fail the diff on an ns/op regression past the
@@ -57,7 +55,6 @@ type scaleReport struct {
 	GoMaxProcs int           `json:"gomaxprocs"`
 	NumCPU     int           `json:"num_cpu"`
 	GoVersion  string        `json:"go_version"`
-	Workers    int           `json:"workers"` // budget of the parallel records
 	Results    []scaleResult `json:"results"`
 }
 
@@ -97,25 +94,11 @@ func runScaleBench(path, sizesCSV string) error {
 		out = f
 	}
 
-	// The parallel records run at GOMAXPROCS workers. On a single-CPU host
-	// that budget degenerates to the serial path, which would silently
-	// measure the same code twice — run two workers instead and say so: the
-	// number then measures the decomposition's fan-out overhead (results are
-	// bit-identical at every worker count, so that overhead is the only
-	// difference).
-	workers := runtime.GOMAXPROCS(0)
-	parNote := ""
-	if workers < 2 {
-		workers = 2
-		parNote = "GOMAXPROCS=1: 2-worker run measures fan-out overhead, not speedup"
-	}
-
 	rep := scaleReport{
 		Kind:       "scale",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
-		Workers:    workers,
 	}
 	add := func(name string, n int, r testing.BenchmarkResult, note string) {
 		rep.Results = append(rep.Results, scaleResult{
@@ -137,11 +120,6 @@ func runScaleBench(path, sizesCSV string) error {
 				matrix.GramInto(g.Reset(n, n), a)
 			}
 		}), "")
-		add("Scale/gram/parallel", n, testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matrix.GramIntoPar(g.Reset(n, n), a, workers)
-			}
-		}), parNote)
 
 		// One fused balance pass, row-streaming vs cache-oblivious tiled. The
 		// unit factors keep the matrix bit-stable across iterations.
@@ -170,29 +148,23 @@ func runScaleBench(path, sizesCSV string) error {
 					buf = linalg.AppendSingularValues(buf[:0], a, ws)
 				}
 			}), "")
-			add("Scale/spectral/parallel", n, testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					buf = linalg.SingularValuesPar(a, ws, workers)
-				}
-			}), parNote)
 
 			// End-to-end characterization, environment build included, with
 			// the serving tier's buffer recycling so iterations reuse pooled
 			// storage the way steady-state requests do.
-			ctx := parallel.WithWorkers(context.Background(), workers)
 			add("Scale/characterize", n, testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					env, err := etcmat.NewFromECS(a)
 					if err != nil {
 						b.Fatal(err)
 					}
-					p := core.CharacterizeCtx(ctx, env)
+					p := core.Characterize(env)
 					if p.TMAErr != nil {
 						b.Fatal(p.TMAErr)
 					}
 					env.ReleaseBuffers()
 				}
-			}), parNote)
+			}), "")
 		} else {
 			rep.Results = append(rep.Results, scaleResult{
 				Name: fmt.Sprintf("Scale/spectral/skipped/%d", n),

@@ -24,6 +24,7 @@ import (
 	"repro/internal/etcmat"
 	"repro/internal/matrix"
 	"repro/internal/obs"
+	"repro/internal/sinkhorn"
 	"repro/internal/stats"
 )
 
@@ -138,35 +139,15 @@ func TMA(env *etcmat.Env) (*TMAResult, error) {
 // environment's standard form is not yet memoized, the pipeline emits
 // "standardize", "gram" and "eigensolve" spans.
 func TMACtx(ctx context.Context, env *etcmat.Env) (*TMAResult, error) {
-	minTM := env.Tasks()
-	if env.Machines() < minTM {
-		minTM = env.Machines()
+	tma, sv, res, err := standardTMA(ctx, env)
+	if err != nil {
+		return nil, err
 	}
-	if minTM == 1 {
-		// A single task type or machine admits no affinity structure; the
-		// standard form is rank one by construction.
+	if res == nil { // a single task type or machine: rank one
 		return &TMAResult{TMA: 0, SingularValues: []float64{1}, Standard: nil}, nil
 	}
-	// The standardization and SVD come from the Env's memo: the first query
-	// pays for them, every later TMA/Characterize call on the same Env is a
-	// cheap copy. The memoized matrices are shared, so clone before handing
-	// them to the caller.
-	res, sv, err := env.StandardFormCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotStandardizable, err)
-	}
-	sum := 0.0
-	for _, s := range sv[1:] {
-		sum += s
-	}
-	tma := sum / float64(minTM-1)
-	// Guard against tolerance-level overshoot.
-	if tma < 0 {
-		tma = 0
-	}
-	if tma > 1 {
-		tma = 1
-	}
+	// The memoized matrices are shared, so clone before handing them to the
+	// caller.
 	return &TMAResult{
 		TMA:            tma,
 		SingularValues: matrix.VecClone(sv),
@@ -174,6 +155,42 @@ func TMACtx(ctx context.Context, env *etcmat.Env) (*TMAResult, error) {
 		Iterations:     res.Iterations,
 		Trimmed:        res.Trimmed,
 	}, nil
+}
+
+// standardTMA computes TMA from the environment's memoized standard form
+// without copying it: sv and res alias the Env's memo and must not be
+// modified or kept past a ReleaseBuffers. res is nil when the environment
+// has a single task type or machine.
+func standardTMA(ctx context.Context, env *etcmat.Env) (tma float64, sv []float64, res *sinkhorn.Result, err error) {
+	minTM := env.Tasks()
+	if env.Machines() < minTM {
+		minTM = env.Machines()
+	}
+	if minTM == 1 {
+		// A single task type or machine admits no affinity structure; the
+		// standard form is rank one by construction.
+		return 0, nil, nil, nil
+	}
+	// The standardization and SVD come from the Env's memo: the first query
+	// pays for them, every later TMA/Characterize call on the same Env is a
+	// cheap read.
+	res, sv, err = env.StandardFormCtx(ctx)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("%w: %v", ErrNotStandardizable, err)
+	}
+	sum := 0.0
+	for _, s := range sv[1:] {
+		sum += s
+	}
+	tma = sum / float64(minTM-1)
+	// Guard against tolerance-level overshoot.
+	if tma < 0 {
+		tma = 0
+	}
+	if tma > 1 {
+		tma = 1
+	}
+	return tma, sv, res, nil
 }
 
 // CanonicalForm returns the environment's weighted ECS matrix with machines
@@ -233,15 +250,17 @@ func CharacterizeCtx(ctx context.Context, env *etcmat.Env) *Profile {
 		TaskDiff:    TaskDifficulties(env),
 	}
 	sp.End()
-	res, err := TMACtx(ctx, env)
+	tma, _, res, err := standardTMA(ctx, env)
 	if err != nil {
 		p.TMA = math.NaN()
 		p.TMAErr = err
 		return p
 	}
-	p.TMA = res.TMA
-	p.SinkhornIterations = res.Iterations
-	p.Trimmed = res.Trimmed
+	p.TMA = tma
+	if res != nil {
+		p.SinkhornIterations = res.Iterations
+		p.Trimmed = res.Trimmed
+	}
 	return p
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // This file implements the values-only spectral fast path: the task-machine
@@ -34,17 +33,17 @@ import (
 const macheps = 2.220446049250313e-16
 
 // Workspace carries the scratch state of the values-only spectral pipeline —
-// the Gram matrix and the tridiagonal diagonals — so sweeps that evaluate
-// thousands of spectra reuse one allocation set. A Workspace is not safe for
-// concurrent use; use one per goroutine (GetWorkspace/PutWorkspace pool them
-// across trials).
+// the Gram matrix, the Gram kernel's panel transpose and the tridiagonal
+// diagonals — so sweeps that evaluate thousands of spectra reuse one
+// allocation set. A Workspace is not safe for concurrent use; use one per
+// goroutine (GetWorkspace/PutWorkspace pool them across trials).
 type Workspace struct {
-	gram *matrix.Dense
-	d, e []float64
+	gram, panel *matrix.Dense
+	d, e        []float64
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
-func NewWorkspace() *Workspace { return &Workspace{gram: matrix.New(0, 0)} }
+func NewWorkspace() *Workspace { return &Workspace{gram: matrix.New(0, 0), panel: matrix.New(0, 0)} }
 
 var workspacePool = sync.Pool{New: func() any { return NewWorkspace() }}
 
@@ -72,16 +71,19 @@ func SingularValues(a *matrix.Dense, ws *Workspace) []float64 {
 	return AppendSingularValues(nil, a, ws)
 }
 
-// SingularValuesCtx is SingularValues with stage tracing and a
-// context-scoped worker budget: when ctx carries an obs.Trace, the Gram
-// formation and the tridiagonal eigensolve are recorded as spans ("gram" or
-// "gram_parallel" depending on the path taken, and "eigensolve"), and when
-// the problem's short side reaches spectralParMin the pipeline fans out over
-// parallel.WorkersFrom(ctx) goroutines (GOMAXPROCS when the context carries
-// no budget). The parallel path is bit-identical to the serial one, so the
-// budget only affects latency.
+// SingularValuesCtx is SingularValues with stage tracing: when ctx carries
+// an obs.Trace, the Gram formation and the tridiagonal eigensolve are
+// recorded as the "gram" and "eigensolve" spans.
 func SingularValuesCtx(ctx context.Context, a *matrix.Dense, ws *Workspace) []float64 {
-	return appendSingularValuesWorkers(obs.FromContext(ctx), nil, a, ws, parallel.WorkersFrom(ctx))
+	return appendSingularValues(obs.FromContext(ctx), nil, a, ws)
+}
+
+// SingularValuesPar is SingularValues under its former worker-budget
+// signature; workers is ignored. The spectral pipeline is serial: at every
+// measured size the serial kernels beat the retired parallel ones (DESIGN.md
+// §14).
+func SingularValuesPar(a *matrix.Dense, ws *Workspace, workers int) []float64 {
+	return AppendSingularValues(nil, a, ws)
 }
 
 // AppendSingularValues appends the descending singular values of a to dst
@@ -89,42 +91,28 @@ func SingularValuesCtx(ctx context.Context, a *matrix.Dense, ws *Workspace) []fl
 // across calls (pass dst[:0] to overwrite). ws may be nil (a pooled
 // workspace is borrowed).
 func AppendSingularValues(dst []float64, a *matrix.Dense, ws *Workspace) []float64 {
-	return appendSingularValuesWorkers(nil, dst, a, ws, 1)
+	return appendSingularValues(nil, dst, a, ws)
 }
 
-// appendSingularValuesWorkers is the shared implementation; tr may be nil
-// (the untraced fast path — span calls on a nil trace are free). workers is
-// a request, resolved against the size threshold by effectiveWorkers: 1
-// forces the serial pipeline, 0 means GOMAXPROCS for large problems.
-func appendSingularValuesWorkers(tr *obs.Trace, dst []float64, a *matrix.Dense, ws *Workspace, workers int) []float64 {
+// appendSingularValues is the shared implementation; tr may be nil (the
+// untraced fast path — span calls on a nil trace are free).
+func appendSingularValues(tr *obs.Trace, dst []float64, a *matrix.Dense, ws *Workspace) []float64 {
 	m, n := a.Dims()
 	k := minInt(m, n)
 	if k == 0 {
 		return dst
 	}
-	workers = effectiveWorkers(k, workers)
 	start := len(dst)
 	if ws == nil {
 		ws = GetWorkspace()
 		defer PutWorkspace(ws)
 	}
-	var sp obs.Span
-	var g *matrix.Dense
-	if workers > 1 {
-		sp = tr.StartSpan("gram_parallel")
-		g = matrix.GramIntoPar(ws.gram.Reset(k, k), a, workers)
-	} else {
-		sp = tr.StartSpan("gram")
-		g = matrix.GramInto(ws.gram.Reset(k, k), a)
-	}
+	sp := tr.StartSpan("gram")
+	g := matrix.GramIntoPanel(ws.gram.Reset(k, k), a, ws.panel)
 	sp.End()
 	sp = tr.StartSpan("eigensolve")
 	d, e := ws.vecs(k)
-	if workers > 1 {
-		tridiagonalizeWorkers(g, d, e, workers)
-	} else {
-		tridiagonalize(g, d, e)
-	}
+	tridiagonalize(g, d, e)
 	if !tqlImplicitShift(d, e) {
 		// The QL budget essentially never trips; fall back to the Jacobi SVD
 		// oracle rather than return a partial spectrum.
@@ -201,19 +189,27 @@ func tridiagonalize(g *matrix.Dense, d, e []float64) {
 				e[i] = scale * g
 				h -= f * g
 				row[l] = f - g
+				// Form p = G·u in e[0..l] (e doubles as scratch for indices
+				// below i; each slot is rewritten before the outer loop reads
+				// it as a subdiagonal). One pass down the rows of the lower
+				// triangle: row j's dot with u gives the leading terms of p[j],
+				// and its entries add w[j][k]·u[j] to every p[k], k < j. So
+				// p[j] sums its row terms and then its column terms in
+				// ascending order, exactly as a walk down column j would.
+				for j := 0; j <= l; j++ {
+					uj := row[j]
+					wj := w[j*n : j*n+j]
+					pk, uk := e[:len(wj)], row[:len(wj)]
+					s := 0.0
+					for k, v := range wj {
+						s += v * uk[k]
+						pk[k] += v * uj
+					}
+					e[j] = s + w[j*n+j]*uj
+				}
 				f = 0.0
 				for j := 0; j <= l; j++ {
-					// Form an element of G·u in e[j] (e doubles as scratch for
-					// indices below i; each slot is rewritten before the outer
-					// loop reads it as a subdiagonal).
-					s := 0.0
-					for k := 0; k <= j; k++ {
-						s += w[j*n+k] * row[k]
-					}
-					for k := j + 1; k <= l; k++ {
-						s += w[k*n+j] * row[k]
-					}
-					e[j] = s / h
+					e[j] /= h
 					f += e[j] * row[j]
 				}
 				hh := f / (h + h)
@@ -222,8 +218,9 @@ func tridiagonalize(g *matrix.Dense, d, e []float64) {
 					s := e[j] - hh*f
 					e[j] = s
 					wj := w[j*n : j*n+j+1]
+					ek, uk := e[:len(wj)], row[:len(wj)]
 					for k := range wj {
-						wj[k] -= f*e[k] + s*row[k]
+						wj[k] -= f*ek[k] + s*uk[k]
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/matrix"
@@ -191,6 +192,221 @@ func FuzzSingularValues(f *testing.F) {
 			if math.Abs(got[i]-want[i]) > 1e-10 {
 				t.Fatalf("σ%d = %.15g, oracle %.15g", i, got[i], want[i])
 			}
+		}
+	})
+}
+
+func floatsBitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dotGram is the bit-exact Gram oracle: entry (i, j) of the min-dimension
+// Gram matrix is one dot product over the long side, summed in ascending
+// order from zero.
+func dotGram(a *matrix.Dense) *matrix.Dense {
+	m, n := a.Dims()
+	k, l := m, n
+	at := a.At
+	if n <= m {
+		k, l = n, m
+		at = func(i, r int) float64 { return a.At(r, i) }
+	}
+	g := matrix.New(k, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			s := 0.0
+			for r := 0; r < l; r++ {
+				s += at(i, r) * at(j, r)
+			}
+			g.Set(i, j, s)
+		}
+	}
+	return g
+}
+
+// tred2ColumnWalk is the textbook values-only tred2 that tridiagonalize
+// replaced: it forms each element of G·u by a walk along row j and then down
+// column j of the lower triangle. It is the bit-exact oracle for the
+// row-wise pass, which must sum every element's terms in this order.
+func tred2ColumnWalk(g *matrix.Dense, d, e []float64) {
+	n := g.Rows()
+	w := g.RawData()
+	for i := n - 1; i >= 1; i-- {
+		l := i - 1
+		h, scale := 0.0, 0.0
+		if l > 0 {
+			for _, v := range w[i*n : i*n+l+1] {
+				scale += math.Abs(v)
+			}
+			if scale == 0 {
+				e[i] = w[i*n+l]
+			} else {
+				row := w[i*n : i*n+l+1]
+				inv := 1 / scale
+				for k, v := range row {
+					v *= inv
+					row[k] = v
+					h += v * v
+				}
+				f := row[l]
+				g := math.Sqrt(h)
+				if f >= 0 {
+					g = -g
+				}
+				e[i] = scale * g
+				h -= f * g
+				row[l] = f - g
+				f = 0.0
+				for j := 0; j <= l; j++ {
+					s := 0.0
+					for k := 0; k <= j; k++ {
+						s += w[j*n+k] * row[k]
+					}
+					for k := j + 1; k <= l; k++ {
+						s += w[k*n+j] * row[k]
+					}
+					e[j] = s / h
+					f += e[j] * row[j]
+				}
+				hh := f / (h + h)
+				for j := 0; j <= l; j++ {
+					f = row[j]
+					s := e[j] - hh*f
+					e[j] = s
+					wj := w[j*n : j*n+j+1]
+					for k := range wj {
+						wj[k] -= f*e[k] + s*row[k]
+					}
+				}
+			}
+		} else {
+			e[i] = w[i*n+l]
+		}
+	}
+	e[0] = 0
+	for i := 0; i < n; i++ {
+		d[i] = w[i*n+i]
+	}
+}
+
+// tridiagMatches runs tridiagonalize and the column-walk oracle on copies of
+// g and reports whether d and e agree bit for bit.
+func tridiagMatches(g *matrix.Dense) bool {
+	n := g.Rows()
+	d, e := make([]float64, n), make([]float64, n)
+	dWant, eWant := make([]float64, n), make([]float64, n)
+	tridiagonalize(g.Clone(), d, e)
+	tred2ColumnWalk(g.Clone(), dWant, eWant)
+	return floatsBitEqual(d, dWant) && floatsBitEqual(e, eWant)
+}
+
+// The row-wise Householder pass must produce the exact d/e recurrence of
+// the column walk, on Gram matrices and on symmetric matrices with zero
+// rows (the scale == 0 branch) alike.
+func TestTridiagonalizeBitIdenticalToColumnWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for _, n := range []int{1, 2, 3, 5, 64, 250} {
+		a := randMat(rng, n+7, n)
+		if !tridiagMatches(matrix.AtAInto(matrix.New(n, n), a)) {
+			t.Errorf("n=%d: tridiagonalize differs from the column walk", n)
+		}
+	}
+	g := matrix.New(6, 6)
+	for i := 0; i < 6; i++ {
+		for j := 0; j <= i; j++ {
+			if i != 3 && j != 3 {
+				v := rng.NormFloat64()
+				g.Set(i, j, v)
+				g.Set(j, i, v)
+			}
+		}
+	}
+	if !tridiagMatches(g) {
+		t.Error("zero row: tridiagonalize differs from the column walk")
+	}
+}
+
+// SingularValuesPar keeps its worker parameter only for old callers and
+// ignores it: every workers value must give the serial pipeline's bits.
+func TestSingularValuesParBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	for _, dims := range [][2]int{{40, 60}, {100, 80}, {280, 300}, {300, 260}} {
+		a := randMat(rng, dims[0], dims[1])
+		want := AppendSingularValues(nil, a, NewWorkspace())
+		for _, w := range []int{1, 2, 4, 8} {
+			got := SingularValuesPar(a, NewWorkspace(), w)
+			if !floatsBitEqual(got, want) {
+				t.Errorf("%v workers=%d: spectrum differs from AppendSingularValues", dims, w)
+			}
+		}
+	}
+}
+
+// Pounding test for the race detector: concurrent spectral solves, each
+// with its own workspace or none (pooled workspaces and panel scratch), over
+// one shared input.
+func TestSingularValuesParConcurrentCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale test")
+	}
+	rng := rand.New(rand.NewSource(83))
+	a := randMat(rng, 280, 260)
+	want := AppendSingularValues(nil, a, NewWorkspace())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var ws *Workspace
+			if g%2 == 0 {
+				ws = NewWorkspace()
+			}
+			for iter := 0; iter < 3; iter++ {
+				if got := SingularValuesPar(a, ws, 4); !floatsBitEqual(got, want) {
+					t.Error("concurrent SingularValuesPar deviated")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// FuzzSpectralKernels fuzzes shape and content — negative and zero cells
+// included — and holds both O(k³) kernels to their bit-exact oracles: the
+// Gram product to the ascending dot product, and the Householder reduction
+// of that Gram matrix to the column-walk tred2.
+func FuzzSpectralKernels(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(7), uint8(0))
+	f.Add(int64(2), uint8(40), uint8(3), uint8(3))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(4), uint8(39), uint8(25), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, rdim, cdim, zeros uint8) {
+		r := 1 + int(rdim)%40
+		c := 1 + int(cdim)%40
+		rng := rand.New(rand.NewSource(seed))
+		a := matrix.New(r, c)
+		for i := range a.RawData() {
+			if rng.Intn(4) < int(zeros%4) {
+				continue // zero cell
+			}
+			a.RawData()[i] = 2*rng.Float64() - 1
+		}
+		k := min(r, c)
+		g := matrix.GramInto(matrix.New(k, k), a)
+		if want := dotGram(a); !floatsBitEqual(g.RawData(), want.RawData()) {
+			t.Fatalf("%dx%d: GramInto differs from the dot-product oracle", r, c)
+		}
+		if !tridiagMatches(g) {
+			t.Fatalf("%dx%d: tridiagonalize differs from the column walk", r, c)
 		}
 	})
 }

@@ -2,21 +2,23 @@ package matrix
 
 // This file holds the Gram-matrix kernels behind the values-only spectral
 // pipeline in internal/linalg: forming G = AᵀA (or AAᵀ) is the only O(m·n·k)
-// step of that pipeline, so both kernels are blocked to keep the output tile
-// resident in L1 while the input streams through row-major storage, and both
-// exploit symmetry by computing only the upper triangle before mirroring.
+// step of that pipeline. Both orientations reduce to one kernel, syrkUpper,
+// that computes the upper triangle as dot products of pairs of contiguous
+// vectors in 4×2 register tiles, then mirrors it onto the lower triangle.
 //
-// The kernels are written as strip functions — one strip is a block-row of
-// output tiles — so the serial entry points and the parallel ones in
-// gram_parallel.go share the exact same per-tile code. Every output element
-// belongs to exactly one strip and every strip accumulates in the same order
-// regardless of who runs it, which is what makes the parallel path
-// bit-identical to the serial one (see DESIGN.md §14).
+// Every output element keeps the summation order of a plain ascending dot
+// product: AAᵀ entries sum over a row pair's columns in order, and AᵀA
+// entries sum over the input rows in order — the kernel transposes a panel
+// of gramPanel input rows at a time and carries each tile's accumulators
+// through dst from one panel to the next. The results are therefore
+// bit-identical to the textbook loops, whatever the tile or panel size (see
+// DESIGN.md §9).
 
-// gramBlock is the tile edge used by the Gram kernels. A 32×32 float64 tile
-// is 8 KiB — half a typical 16-32 KiB L1d — leaving room for the streaming
-// input rows.
-const gramBlock = 32
+// gramPanel is the number of input rows AᵀA transposes into scratch per
+// pass. A tile then streams six panel rows of gramPanel floats (6 KiB),
+// which stay in L1 across the tile's inner loop; any panel height gives the
+// same bits.
+const gramPanel = 128
 
 // Reset reconfigures m in place to an r×c all-zero matrix, reusing the
 // backing slice when its capacity allows and allocating only on growth. It
@@ -37,18 +39,28 @@ func (m *Dense) Reset(r, c int) *Dense {
 	return m
 }
 
-// AtAInto computes dst = aᵀ·a for an m×n input a; dst must be n×n. Row i of a
-// contributes the rank-1 update row·rowᵀ, accumulated tile by tile over the
-// upper triangle of dst so the active output block stays cache-resident.
+// AtAInto computes dst = aᵀ·a for an m×n input a; dst must be n×n. Entry
+// (j, k) is the dot product of columns j and k, summed over the rows of a in
+// order. The panel scratch comes from the matrix pool.
 func AtAInto(dst, a *Dense) *Dense {
-	return ataBlocked(dst, a, gramBlock, 1)
+	panel := pooledRaw(minDim(a.rows, gramPanel) * a.cols)
+	ataInto(dst, a, panel.data)
+	putRaw(panel)
+	return dst
 }
 
 // AAtInto computes dst = a·aᵀ for an m×n input a; dst must be m×m. Entry
-// (i, j) is the dot product of rows i and j; the row pairs are walked in
-// tiles so each row block is reused across a whole tile of dot products.
+// (i, j) is the dot product of rows i and j, summed over the columns in
+// order.
 func AAtInto(dst, a *Dense) *Dense {
-	return aatBlocked(dst, a, gramBlock, 1)
+	m, n := a.Dims()
+	if dst.rows != m || dst.cols != m {
+		panic("matrix: AAtInto needs a square destination matching a's rows")
+	}
+	clear(dst.data)
+	syrkUpper(dst.data, m, a.data, n)
+	mirrorUpper(dst.data, m)
+	return dst
 }
 
 // GramInto computes the min-dimension Gram matrix of a — aᵀ·a when a has at
@@ -63,127 +75,128 @@ func GramInto(dst, a *Dense) *Dense {
 	return AAtInto(dst, a)
 }
 
-// ataBlocked is the shared implementation behind AtAInto and AtAIntoPar. The
-// output is decomposed into block-row strips of edge block; workers > 1
-// fans the strips out over the parallel pool, otherwise they run in order on
-// the calling goroutine. Either way each strip is produced by ataStrip with
-// identical arithmetic, so the result does not depend on workers.
-func ataBlocked(dst, a *Dense, block, workers int) *Dense {
+// GramIntoPanel is GramInto with caller-held scratch for the AᵀA panel
+// transpose: panel is resized in place (its contents are neither read nor
+// kept), so a workspace that evaluates many spectra keeps one buffer
+// instead of borrowing from the pool on every call.
+func GramIntoPanel(dst, a, panel *Dense) *Dense {
+	if a.cols > a.rows {
+		return AAtInto(dst, a)
+	}
+	p := minDim(a.rows, gramPanel)
+	if cap(panel.data) < p*a.cols {
+		panel.data = make([]float64, p*a.cols)
+	}
+	panel.rows, panel.cols, panel.data = a.cols, p, panel.data[:p*a.cols]
+	ataInto(dst, a, panel.data)
+	return dst
+}
+
+// ataInto computes dst = aᵀ·a panel by panel: each block of up to gramPanel
+// input rows is transposed into scratch, so column j of the block becomes a
+// contiguous vector, and its contribution is added to dst's upper triangle.
+// Panels run in row order, so every entry sums its terms in row order.
+func ataInto(dst, a *Dense, scratch []float64) {
 	m, n := a.Dims()
 	if dst.rows != n || dst.cols != n {
 		panic("matrix: AtAInto needs a square destination matching a's columns")
 	}
-	dd := dst.data
-	for i := range dd {
-		dd[i] = 0
-	}
-	ad := a.data
-	strips := (n + block - 1) / block
-	if workers > 1 && strips > 1 {
-		runStrips(strips, workers, func(s int) {
-			ataStrip(dd, ad, m, n, s*block, block)
-		})
-	} else {
-		for s := 0; s < strips; s++ {
-			ataStrip(dd, ad, m, n, s*block, block)
-		}
-	}
-	mirrorUpper(dd, n, workers)
-	return dst
-}
-
-// ataStrip accumulates the block-row strip of AᵀA whose output rows start at
-// j0: every upper-triangle tile (j0:j0+block, k0:k1) for k0 ≥ j0. Writes are
-// confined to dst rows [j0, j0+block), so distinct strips never touch the
-// same output element.
-func ataStrip(dd, ad []float64, m, n, j0, block int) {
-	j1 := minDim(j0+block, n)
-	for k0 := j0; k0 < n; k0 += block {
-		k1 := minDim(k0+block, n)
-		for i := 0; i < m; i++ {
-			row := ad[i*n : (i+1)*n]
-			for j := j0; j < j1; j++ {
-				v := row[j]
-				if v == 0 {
-					continue
-				}
-				ks := k0
-				if j > ks {
-					ks = j
-				}
-				drow := dd[j*n:]
-				for k := ks; k < k1; k++ {
-					drow[k] += v * row[k]
-				}
+	clear(dst.data)
+	for i0 := 0; i0 < m; i0 += gramPanel {
+		p := minDim(gramPanel, m-i0)
+		t := scratch[:n*p]
+		for r := 0; r < p; r++ {
+			for j, v := range a.data[(i0+r)*n : (i0+r+1)*n] {
+				t[j*p+r] = v
 			}
 		}
+		syrkUpper(dst.data, n, t, p)
+	}
+	mirrorUpper(dst.data, n)
+}
+
+// syrkUpper adds x·xᵀ to the upper triangle of the nv×nv row-major matrix
+// dd, where x holds nv contiguous vectors of length l: dd[j][k] += Σ_r
+// x[j][r]·x[k][r] for k ≥ j, with r ascending. Full 4×2 tiles keep eight
+// accumulators and six operands in registers; tiles that straddle the
+// diagonal also fill a few lower-triangle entries, which mirrorUpper
+// overwrites.
+func syrkUpper(dd []float64, nv int, x []float64, l int) {
+	j := 0
+	for ; j+4 <= nv; j += 4 {
+		x0 := x[j*l : j*l+l]
+		x1 := x[(j+1)*l : (j+1)*l+l]
+		x2 := x[(j+2)*l : (j+2)*l+l]
+		x3 := x[(j+3)*l : (j+3)*l+l]
+		k := j
+		for ; k+2 <= nv; k += 2 {
+			y0 := x[k*l : k*l+l]
+			y1 := x[(k+1)*l : (k+1)*l+l]
+			dot4x2(x0, x1, x2, x3, y0, y1, dd[j*nv+k:j*nv+k+2], dd[(j+1)*nv+k:(j+1)*nv+k+2],
+				dd[(j+2)*nv+k:(j+2)*nv+k+2], dd[(j+3)*nv+k:(j+3)*nv+k+2])
+		}
+		if k < nv { // odd edge: the last column alone
+			y := x[k*l : k*l+l]
+			a0, a1, a2, a3 := x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
+			s0, s1, s2, s3 := dd[j*nv+k], dd[(j+1)*nv+k], dd[(j+2)*nv+k], dd[(j+3)*nv+k]
+			for r, b := range y {
+				s0 += a0[r] * b
+				s1 += a1[r] * b
+				s2 += a2[r] * b
+				s3 += a3[r] * b
+			}
+			dd[j*nv+k], dd[(j+1)*nv+k], dd[(j+2)*nv+k], dd[(j+3)*nv+k] = s0, s1, s2, s3
+		}
+	}
+	for ; j < nv; j++ { // the last nv mod 4 rows, one dot product per entry
+		xj := x[j*l : j*l+l]
+		for k := j; k < nv; k++ {
+			y := x[k*l : k*l+l]
+			a := xj[:len(y)]
+			s := dd[j*nv+k]
+			for r, b := range y {
+				s += a[r] * b
+			}
+			dd[j*nv+k] = s
+		}
 	}
 }
 
-// aatBlocked is the shared implementation behind AAtInto and AAtIntoPar,
-// decomposed into block-row strips exactly like ataBlocked.
-func aatBlocked(dst, a *Dense, block, workers int) *Dense {
-	m, n := a.Dims()
-	if dst.rows != m || dst.cols != m {
-		panic("matrix: AAtInto needs a square destination matching a's rows")
+// dot4x2 adds the eight dot products of a0..a3 with b0 and b1 to the tile
+// rows d0..d3 (two entries each). It is a separate function so the register
+// allocator sees only the tile's own values: eight accumulators and the six
+// vector pointers stay in registers for the whole loop.
+func dot4x2(a0, a1, a2, a3, b0, b1, d0, d1, d2, d3 []float64) {
+	s00, s01 := d0[0], d0[1]
+	s10, s11 := d1[0], d1[1]
+	s20, s21 := d2[0], d2[1]
+	s30, s31 := d3[0], d3[1]
+	b1 = b1[:len(b0)]
+	a0, a1, a2, a3 = a0[:len(b0)], a1[:len(b0)], a2[:len(b0)], a3[:len(b0)]
+	for r, u := range b0 {
+		w := b1[r]
+		v := a0[r]
+		s00 += v * u
+		s01 += v * w
+		v = a1[r]
+		s10 += v * u
+		s11 += v * w
+		v = a2[r]
+		s20 += v * u
+		s21 += v * w
+		v = a3[r]
+		s30 += v * u
+		s31 += v * w
 	}
-	dd := dst.data
-	ad := a.data
-	strips := (m + block - 1) / block
-	if workers > 1 && strips > 1 {
-		runStrips(strips, workers, func(s int) {
-			aatStrip(dd, ad, m, n, s*block, block)
-		})
-	} else {
-		for s := 0; s < strips; s++ {
-			aatStrip(dd, ad, m, n, s*block, block)
-		}
-	}
-	mirrorUpper(dd, m, workers)
-	return dst
-}
-
-// aatStrip fills the block-row strip of AAᵀ whose output rows start at i0:
-// each entry (i, j) with i in [i0, i0+block) and j ≥ i is the dot product of
-// rows i and j of a. Like ataStrip, writes stay inside the strip's rows.
-func aatStrip(dd, ad []float64, m, n, i0, block int) {
-	i1 := minDim(i0+block, m)
-	for j0 := i0; j0 < m; j0 += block {
-		j1 := minDim(j0+block, m)
-		for i := i0; i < i1; i++ {
-			ri := ad[i*n : (i+1)*n]
-			js := j0
-			if i > js {
-				js = i
-			}
-			for j := js; j < j1; j++ {
-				rj := ad[j*n : (j+1)*n]
-				s := 0.0
-				for k, v := range ri {
-					s += v * rj[k]
-				}
-				dd[i*m+j] = s
-			}
-		}
-	}
+	d0[0], d0[1] = s00, s01
+	d1[0], d1[1] = s10, s11
+	d2[0], d2[1] = s20, s21
+	d3[0], d3[1] = s30, s31
 }
 
 // mirrorUpper copies the strict upper triangle of the n×n row-major matrix d
-// onto its lower triangle. With workers > 1 the row range is split into
-// strips over the pool; every element is copied exactly once either way.
-func mirrorUpper(d []float64, n, workers int) {
-	if workers > 1 && n >= 2*gramBlock {
-		strips := (n + gramBlock - 1) / gramBlock
-		runStrips(strips, workers, func(s int) {
-			lo, hi := s*gramBlock, minDim((s+1)*gramBlock, n)
-			for i := lo; i < hi; i++ {
-				for j := 0; j < i; j++ {
-					d[i*n+j] = d[j*n+i]
-				}
-			}
-		})
-		return
-	}
+// onto its lower triangle.
+func mirrorUpper(d []float64, n int) {
 	for i := 1; i < n; i++ {
 		for j := 0; j < i; j++ {
 			d[i*n+j] = d[j*n+i]

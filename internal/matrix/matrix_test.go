@@ -534,3 +534,73 @@ func TestPermuteColsInPlace(t *testing.T) {
 		t.Fatalf("in-place permutation mismatch:\n%v\n%v", want, a)
 	}
 }
+
+// The range kernels are the tiled Sinkhorn loop's building blocks: applied
+// tile by tile in column order with the accumulator resumed between tiles,
+// they must reproduce the whole-row kernels bit for bit.
+func TestScaleRangeKernelsMatchWholeRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	const r, c = 23, 37
+	factorsC := make([]float64, c)
+	factorsR := make([]float64, r)
+	for i := range factorsC {
+		factorsC[i] = 0.5 + rng.Float64()
+	}
+	for i := range factorsR {
+		factorsR[i] = 0.5 + rng.Float64()
+	}
+
+	orig := randDense(rng, r, c)
+	whole := orig.Clone()
+	wantSums := make([]float64, r)
+	whole.ScaleColsRowSums(factorsC, wantSums)
+
+	ranged := orig.Clone()
+	gotSums := make([]float64, r)
+	// Uneven column splits; each row's partial sum resumes across them.
+	for _, split := range [][2]int{{0, 5}, {5, 6}, {6, 20}, {20, 37}} {
+		ranged.ScaleColsRowSumsRange(factorsC, gotSums, 0, r, split[0], split[1])
+	}
+	if !bitEqual(ranged, whole) {
+		t.Error("ScaleColsRowSumsRange tiles differ from the whole-row kernel")
+	}
+	for i := range wantSums {
+		if gotSums[i] != wantSums[i] {
+			t.Fatalf("row sum %d: ranged %g != whole %g", i, gotSums[i], wantSums[i])
+		}
+	}
+
+	whole2 := orig.Clone()
+	wantCols := make([]float64, c)
+	whole2.ScaleRowsColSums(factorsR, wantCols)
+	ranged2 := orig.Clone()
+	gotCols := make([]float64, c)
+	for _, split := range [][2]int{{0, 9}, {9, 10}, {10, 23}} {
+		ranged2.ScaleRowsColSumsRange(factorsR, gotCols, split[0], split[1], 0, c)
+	}
+	if !bitEqual(ranged2, whole2) {
+		t.Error("ScaleRowsColSumsRange tiles differ from the whole-row kernel")
+	}
+	for j := range wantCols {
+		if gotCols[j] != wantCols[j] {
+			t.Fatalf("col sum %d: ranged %g != whole %g", j, gotCols[j], wantCols[j])
+		}
+	}
+}
+
+// Range bounds are programming errors, not data errors; they must fail fast.
+func TestScaleRangePanicsOnBadBounds(t *testing.T) {
+	m := New(4, 4)
+	f := make([]float64, 4)
+	s := make([]float64, 4)
+	for _, bad := range [][4]int{{-1, 4, 0, 4}, {0, 5, 0, 4}, {2, 1, 0, 4}, {0, 4, 3, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("range %v accepted", bad)
+				}
+			}()
+			m.ScaleColsRowSumsRange(f, s, bad[0], bad[1], bad[2], bad[3])
+		}()
+	}
+}

@@ -130,3 +130,14 @@ func Recycle(m *Dense) {
 	}
 	densePools[cl].Put(&Dense{data: data[:0]})
 }
+
+// putRaw files a buffer obtained from pooledRaw back under its class,
+// reusing m itself as the pooled header so a borrow-and-return pair costs
+// no allocation. Unlike Recycle it is for in-package scratch whose header
+// no caller can still hold.
+func putRaw(m *Dense) {
+	if cl := putClass(cap(m.data)); cl >= 0 {
+		m.rows, m.cols, m.data = 0, 0, m.data[:0]
+		densePools[cl].Put(m)
+	}
+}

@@ -193,15 +193,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	return nil, false
 }
 
-// computeCtx attaches the server's worker budget to a compute-stage context:
-// the spectral pipeline under CharacterizeCtx fans its Gram and Householder
-// stages out over this many goroutines once an environment crosses the
-// parallel size threshold (see linalg.SingularValuesCtx). Small environments
-// keep the serial allocation-free path; results are bit-identical either way.
-func (s *Server) computeCtx(ctx context.Context) context.Context {
-	return parallel.WithWorkers(ctx, s.cfg.Workers)
-}
-
 // releaseEnv recycles a request-owned environment's matrix buffers once its
 // profile has been computed (profiles never alias Env storage). nil is a
 // convenient no-op: cache hits never materialize an Env.
@@ -338,7 +329,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	// on the same key run exactly one computation; waiters block here until
 	// the leader publishes.
 	sp = obs.StartSpan(r.Context(), "compute")
-	p, outcome, err := s.characterizeCoalesced(s.computeCtx(r.Context()), key, env)
+	p, outcome, err := s.characterizeCoalesced(r.Context(), key, env)
 	sp.End()
 	// The coalescing leader runs synchronously in this goroutine, so by now
 	// nothing references the decoded environment; recycle its buffers.
@@ -459,7 +450,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// coalescing layer so identical environments across concurrent batch (or
 	// characterize) requests also share one computation.
 	sp = obs.StartSpan(r.Context(), "compute")
-	profiles, err := parallel.Map(s.computeCtx(r.Context()), len(uniq), s.cfg.Workers,
+	profiles, err := parallel.Map(r.Context(), len(uniq), s.cfg.Workers,
 		func(ctx context.Context, u int) (*core.Profile, error) {
 			i := uniq[u]
 			p, _, err := s.characterizeCoalesced(ctx, keys[i], envs[i])
@@ -536,7 +527,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// Seed the result cache: a generate-then-characterize flow (common in
 	// sweep tooling) hits on the second call. The Env memoizes its standard
 	// form, so this recharacterization costs sums, not a second SVD.
-	p, cached := s.characterizeCached(s.computeCtx(r.Context()), g.Env)
+	p, cached := s.characterizeCached(r.Context(), g.Env)
 	sp.End()
 	defer releaseEnv(g.Env)
 	// Binary echo: Accept: application/x-hc-matrix returns the generated ETC
@@ -601,7 +592,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	// converged Sinkhorn scalings; each delta reports its (much smaller)
 	// iteration count next to the baseline's.
 	sp = obs.StartSpan(r.Context(), "compute")
-	baseline, deltas := core.LeaveOneOutCtx(s.computeCtx(r.Context()), env)
+	baseline, deltas := core.LeaveOneOutCtx(r.Context(), env)
 	sp.End()
 	releaseEnv(env)
 	resp := whatifResponse{Version: APIVersion, Baseline: ProfileToDTO(baseline, false)}

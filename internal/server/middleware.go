@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -112,16 +111,9 @@ func (s *Server) withObservability(endpoint string, next http.Handler) http.Hand
 // observeStages feeds completed spans into the per-stage latency histogram.
 func (s *Server) observeStages(spans []obs.SpanRecord) {
 	for _, sp := range spans {
-		labels := `stage="` + sp.Name + `"`
-		if strings.HasSuffix(sp.Name, "_parallel") {
-			// Parallel pipeline stages carry the worker budget they ran
-			// under, so dashboards can attribute latency shifts to a
-			// worker-count change rather than a workload change.
-			labels += `,workers="` + strconv.Itoa(s.cfg.Workers) + `"`
-		}
 		s.metrics.Histogram("hcserved_stage_seconds",
 			"Stage latency within a request (top-level stages plus nested pipeline spans).",
-			labels).Observe(sp.Dur.Seconds())
+			`stage="`+sp.Name+`"`).Observe(sp.Dur.Seconds())
 	}
 }
 

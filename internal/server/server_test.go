@@ -304,6 +304,23 @@ func TestBatchEndpoint(t *testing.T) {
 	})
 }
 
+// The batch body's "envs" key matches case-insensitively, as encoding/json
+// (and the scanner's env fields) match field names.
+func TestBatchEnvsKeyCaseInsensitive(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	resp, body := post(t, ts, "/v1/characterize/batch", "application/json", `{"ENVS":[{"etc":[[1,2],[3,4]]}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out batchResponse
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Profiles) != 1 || out.Profiles[0].Profile == nil {
+		t.Fatalf("got %+v, want 1 profile", out.Profiles)
+	}
+}
+
 func TestGenerateEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	for name, body := range map[string]string{

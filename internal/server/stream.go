@@ -982,7 +982,7 @@ func scanJSONBatch(body []byte, p *envPayload, fn func(itemErr error)) error {
 		if err := s.expect(':'); err != nil {
 			return err
 		}
-		if string(key) == "envs" {
+		if bytes.EqualFold(key, []byte("envs")) { // case-insensitive, as encoding/json matches
 			if envsSeen {
 				return errors.New(`duplicate "envs" key`)
 			}

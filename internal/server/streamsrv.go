@@ -316,7 +316,7 @@ func (ss *streamSession) solve(ctx context.Context, stage string,
 		return nil, false, code, msg
 	}
 	defer release()
-	sctx, cancel := ss.solveCtx(ss.s.computeCtx(ctx))
+	sctx, cancel := ss.solveCtx(ctx)
 	defer cancel()
 	p, warm, err = apply(sctx)
 	if err != nil {

@@ -305,11 +305,17 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 		return nil, err
 	}
 
+	var w *matrix.Dense
 	if ws == nil {
-		ws = NewWorkspace() // fresh storage the caller alone holds
+		// Fresh storage the caller alone holds. The working matrix becomes
+		// Result.Scaled, which etcmat.Env.ReleaseBuffers hands back to the
+		// matrix pool, so take it from there.
+		w = matrix.ClonePooled(a)
+		ws = &Workspace{w: w}
+	} else {
+		w = ws.w.Reset(t, m)
+		copy(w.RawData(), a.RawData())
 	}
-	w := ws.w.Reset(t, m)
-	copy(w.RawData(), a.RawData())
 	d1 := fillOnes(growVec(&ws.d1, t))
 	d2 := fillOnes(growVec(&ws.d2, m))
 	cs := growVec(&ws.cs, m)
