@@ -146,7 +146,9 @@ streamload:
 # Short fuzz runs (the CI smoke step): the binary frame decoder, the JSON
 # scanner's fused number parser against strconv, the whole JSON env scanner
 # against encoding/json, and the Gram and Householder kernels against their
-# bit-exact reference loops. -fuzz takes one target per run.
+# bit-exact reference loops, on the AVX2 path (where the CPU has it) and the
+# scalar path, which must also agree with each other. -fuzz takes one target
+# per run.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run Fuzz -fuzz=FuzzParseNumber -fuzztime=10s ./internal/server

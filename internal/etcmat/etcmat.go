@@ -101,26 +101,52 @@ func NewFromECSOwned(ecs *matrix.Dense) (*Env, error) {
 	return adoptECS(ecs), nil
 }
 
+// validateECS checks ecs in one row-major sweep. Its errors keep the
+// precedence of three separate scans: the first bad cell in row-major
+// order, then the first all-zero row, then the first all-zero column. A line
+// of finite nonnegative cells sums to zero exactly when every cell is zero,
+// so a bit per column that has seen a positive cell replaces the column
+// sums.
 func validateECS(ecs *matrix.Dense) error {
 	t, m := ecs.Dims()
 	if t == 0 || m == 0 {
 		return fmt.Errorf("%w: empty matrix", ErrInvalid)
 	}
+	var stack [8]uint64
+	seen := stack[:]
+	if words := (m + 63) / 64; words > len(stack) {
+		seen = make([]uint64, words)
+	} else {
+		seen = seen[:words]
+	}
+	zeroRow := -1
+	data := ecs.RawData()
 	for i := 0; i < t; i++ {
-		for j := 0; j < m; j++ {
-			v := ecs.At(i, j)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("%w: ECS(%d,%d) = %g must be finite and nonnegative", ErrInvalid, i, j, v)
+		row := data[i*m : (i+1)*m]
+		positive := uint64(0)
+		for w := range seen {
+			// Collect one word of column bits in a register, so the sweep
+			// does not chain a load and a store of seen through every cell.
+			bits := uint64(0)
+			for b, v := range row[w*64 : min(w*64+64, m)] {
+				if v > 0 && v <= math.MaxFloat64 {
+					bits |= 1 << (b & 63)
+				} else if v != 0 { // NaN, ±Inf or negative
+					return fmt.Errorf("%w: ECS(%d,%d) = %g must be finite and nonnegative", ErrInvalid, i, w*64+b, v)
+				}
 			}
+			seen[w] |= bits
+			positive |= bits
+		}
+		if positive == 0 && zeroRow < 0 {
+			zeroRow = i
 		}
 	}
-	for i := 0; i < t; i++ {
-		if ecs.RowSum(i) == 0 {
-			return fmt.Errorf("%w: task type %d cannot run on any machine (all-zero ECS row)", ErrInvalid, i)
-		}
+	if zeroRow >= 0 {
+		return fmt.Errorf("%w: task type %d cannot run on any machine (all-zero ECS row)", ErrInvalid, zeroRow)
 	}
 	for j := 0; j < m; j++ {
-		if ecs.ColSum(j) == 0 {
+		if seen[j>>6]&(1<<(j&63)) == 0 {
 			return fmt.Errorf("%w: machine %d cannot run any task type (all-zero ECS column)", ErrInvalid, j)
 		}
 	}

@@ -308,10 +308,30 @@ func tridiagMatches(g *matrix.Dense) bool {
 	return floatsBitEqual(d, dWant) && floatsBitEqual(e, eWant)
 }
 
-// The row-wise Householder pass must produce the exact d/e recurrence of
-// the column walk, on Gram matrices and on symmetric matrices with zero
-// rows (the scale == 0 branch) alike.
+// forEachKernelPath runs f as one subtest on the AVX2 kernels (skipped on a
+// CPU without them) and one on the scalar fallback.
+func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
+	t.Run("avx2", func(t *testing.T) {
+		defer matrix.UseVectorKernels(true)()
+		if !matrix.VectorKernels() {
+			t.Skip("CPU has no AVX2")
+		}
+		f(t)
+	})
+	t.Run("scalar", func(t *testing.T) {
+		defer matrix.UseVectorKernels(false)()
+		f(t)
+	})
+}
+
+// The Householder pass must produce the exact d/e recurrence of the column
+// walk, on Gram matrices and on symmetric matrices with zero rows (the
+// scale == 0 branch) alike, on either kernel path.
 func TestTridiagonalizeBitIdenticalToColumnWalk(t *testing.T) {
+	forEachKernelPath(t, testTridiagonalizeBitIdenticalToColumnWalk)
+}
+
+func testTridiagonalizeBitIdenticalToColumnWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, n := range []int{1, 2, 3, 5, 64, 250} {
 		a := randMat(rng, n+7, n)
@@ -381,9 +401,11 @@ func TestSingularValuesParConcurrentCallers(t *testing.T) {
 }
 
 // FuzzSpectralKernels fuzzes shape and content — negative and zero cells
-// included — and holds both O(k³) kernels to their bit-exact oracles: the
-// Gram product to the ascending dot product, and the Householder reduction
-// of that Gram matrix to the column-walk tred2.
+// included, edges on and off the 4×8 Gram tile and the 4-lane Householder
+// width — and holds both O(k³) kernels to their bit-exact oracles on both
+// kernel paths: the Gram product to the ascending dot product, and the
+// Householder reduction of that Gram matrix to the column-walk tred2. The
+// AVX2 and scalar paths must also agree with each other bit for bit.
 func FuzzSpectralKernels(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(7), uint8(0))
 	f.Add(int64(2), uint8(40), uint8(3), uint8(3))
@@ -401,12 +423,29 @@ func FuzzSpectralKernels(f *testing.F) {
 			a.RawData()[i] = 2*rng.Float64() - 1
 		}
 		k := min(r, c)
-		g := matrix.GramInto(matrix.New(k, k), a)
-		if want := dotGram(a); !floatsBitEqual(g.RawData(), want.RawData()) {
-			t.Fatalf("%dx%d: GramInto differs from the dot-product oracle", r, c)
+		want := dotGram(a)
+		var grams [2]*matrix.Dense
+		var ds, es [2][]float64
+		for path, vector := range []bool{true, false} {
+			restore := matrix.UseVectorKernels(vector)
+			g := matrix.GramInto(matrix.New(k, k), a)
+			ds[path], es[path] = make([]float64, k), make([]float64, k)
+			tridiagonalize(g.Clone(), ds[path], es[path])
+			restore()
+			if !floatsBitEqual(g.RawData(), want.RawData()) {
+				t.Fatalf("%dx%d vector=%v: GramInto differs from the dot-product oracle", r, c, vector)
+			}
+			grams[path] = g
 		}
-		if !tridiagMatches(g) {
-			t.Fatalf("%dx%d: tridiagonalize differs from the column walk", r, c)
+		if !floatsBitEqual(grams[0].RawData(), grams[1].RawData()) {
+			t.Fatalf("%dx%d: the AVX2 and scalar Gram products differ", r, c)
+		}
+		dWant, eWant := make([]float64, k), make([]float64, k)
+		tred2ColumnWalk(grams[1].Clone(), dWant, eWant)
+		for path := range ds {
+			if !floatsBitEqual(ds[path], dWant) || !floatsBitEqual(es[path], eWant) {
+				t.Fatalf("%dx%d %s path: tridiagonalize differs from the column walk", r, c, [2]string{"AVX2", "scalar"}[path])
+			}
 		}
 	})
 }

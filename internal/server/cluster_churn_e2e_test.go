@@ -55,30 +55,12 @@ func startStaleViewNode(t *testing.T, ln net.Listener, peers []string, replicas 
 // MaxForwardHops — n3 never even attempts the forward its stale ring asks for
 // — and every node's accounting identity still balances.
 func TestClusterStaleViewHopBound(t *testing.T) {
-	lns := make([]net.Listener, 3)
-	addrs := make([]string, 4)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i], addrs[i] = ln, ln.Addr().String()
+	const nSeeds = 2000
+	bodies := make([][]byte, nSeeds)
+	keys := make([]etcmat.ContentKey, nSeeds)
+	for i := range bodies {
+		bodies[i], keys[i] = clusterEnv(t, int64(i+1))
 	}
-	// The fourth address is real but refuses connections: a forward attempt
-	// at it (the regression) would surface as a forward error on n3.
-	ln4, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs[3] = ln4.Addr().String()
-	ln4.Close()
-	a1, a2, a3, a4 := addrs[0], addrs[1], addrs[2], addrs[3]
-
-	// Divergent two-node views chained tail to head: each node knows only
-	// itself and the next node in the chain.
-	view1 := []string{a2}
-	view2 := []string{a3}
-	view3 := []string{a4}
 
 	// Reconstruct each node's ring client-side (vnode placement is purely
 	// name-derived) and scan for a key whose per-view owner is the chain's
@@ -90,22 +72,58 @@ func TestClusterStaleViewHopBound(t *testing.T) {
 		}
 		return r
 	}
-	ring1 := ringOf(a1, a2)
-	ring2 := ringOf(a2, a3)
-	ring3 := ringOf(a3, a4)
+	chainedKey := func(a1, a2, a3, a4 string) int {
+		ring1 := ringOf(a1, a2)
+		ring2 := ringOf(a2, a3)
+		ring3 := ringOf(a3, a4)
+		for i, k := range keys {
+			if ring1.Owners(k)[0] == a2 && ring2.Owners(k)[0] == a3 && ring3.Owners(k)[0] == a4 {
+				return i
+			}
+		}
+		return -1
+	}
 
-	var body []byte
-	var key etcmat.ContentKey
-	found := false
-	for seed := int64(1); seed <= 2000 && !found; seed++ {
-		b, k := clusterEnv(t, seed)
-		if ring1.Owners(k)[0] == a2 && ring2.Owners(k)[0] == a3 && ring3.Owners(k)[0] == a4 {
-			body, key, found = b, k, true
+	// Placement depends on the listener addresses, and some address quads
+	// admit no chained key at all, so re-draw the addresses (a bounded
+	// number of times) until one does.
+	var lns []net.Listener
+	var addrs []string
+	found := -1
+	for draw := 0; draw < 10 && found < 0; draw++ {
+		lns, addrs = make([]net.Listener, 3), make([]string, 4)
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lns[i], addrs[i] = ln, ln.Addr().String()
+		}
+		// The fourth address is real but refuses connections: a forward
+		// attempt at it (the regression) would surface as a forward error
+		// on n3.
+		ln4, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[3] = ln4.Addr().String()
+		ln4.Close()
+		if found = chainedKey(addrs[0], addrs[1], addrs[2], addrs[3]); found < 0 {
+			for _, ln := range lns {
+				ln.Close()
+			}
 		}
 	}
-	if !found {
-		t.Fatal("no chained key in 2000 seeds (ring placement changed?)")
+	if found < 0 {
+		t.Fatalf("no chained key in %d seeds for any of 10 address draws (ring placement changed?)", nSeeds)
 	}
+	body, key := bodies[found], keys[found]
+
+	// Divergent two-node views chained tail to head: each node knows only
+	// itself and the next node in the chain.
+	view1 := []string{addrs[1]}
+	view2 := []string{addrs[2]}
+	view3 := []string{addrs[3]}
 
 	n1 := startStaleViewNode(t, lns[0], view1, 1)
 	n2 := startStaleViewNode(t, lns[1], view2, 1)

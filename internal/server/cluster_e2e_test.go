@@ -301,6 +301,22 @@ func TestClusterKillNodeRecovery(t *testing.T) {
 	for i := range bodies {
 		bodies[i], _ = clusterEnv(t, int64(1000+i))
 	}
+	// Round 1 sends body i to all[i%3] first. With 2 replicas on 3 nodes each
+	// node owns 2/3 of the keys locally, so a survivor could be sent only
+	// keys it owns and never forward. Bodies 0 and 1 are therefore drawn
+	// from keys their first target, n1 or n2, does not own.
+	next := int64(5000)
+	notOwnedBy := func(n *clusterNode) []byte {
+		for ; next < 5200; next++ {
+			if body, key := clusterEnv(t, next); !n.srv.router.LocallyOwned(cacheKey(key)) {
+				next++
+				return body
+			}
+		}
+		t.Fatalf("no key in seeds 5000-5199 that %s does not own", n.base)
+		return nil
+	}
+	bodies[0], bodies[1] = notOwnedBy(n1), notOwnedBy(n2)
 
 	lost := 0
 	send := func(targets []*clusterNode, i int) {
