@@ -65,9 +65,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable kernel/engine benchmarks (see cmd/hcbench -bench); this
-# re-baselines the committed BENCH_spectral.json.
+# re-baselines the committed BENCH_spectral.json. Each entry is the median of
+# five runs, recorded at GOMAXPROCS=1 as the baseline says, so the file does
+# not depend on the shell's CPU count.
 bench-json:
-	$(GO) run ./cmd/hcbench -bench BENCH_spectral.json
+	GOMAXPROCS=1 $(GO) run ./cmd/hcbench -bench BENCH_spectral.json
 
 # Compare two benchmark reports and fail on >BENCH_THRESHOLD regressions in
 # ns/op or allocs/op per kernel. Typical use:
@@ -99,7 +101,7 @@ ifneq ($(BENCHDIFF),)
 verify: perf-verify
 .PHONY: perf-verify
 perf-verify:
-	$(GO) run ./cmd/hcbench -bench $(BENCH_NEW)
+	GOMAXPROCS=1 $(GO) run ./cmd/hcbench -bench $(BENCH_NEW)
 	$(GO) run ./cmd/hcbench -benchdiff -threshold $(BENCH_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
 endif
 
@@ -145,15 +147,18 @@ streamload:
 
 # Short fuzz runs (the CI smoke step): the binary frame decoder, the JSON
 # scanner's fused number parser against strconv, the whole JSON env scanner
-# against encoding/json, and the Gram and Householder kernels against their
+# against encoding/json, the Gram and Householder kernels against their
 # bit-exact reference loops, on the AVX2 path (where the CPU has it) and the
-# scalar path, which must also agree with each other. -fuzz takes one target
-# per run.
+# scalar path, which must also agree with each other, and the values-only
+# spectrum and the root-free QL stage against the Jacobi oracles. -fuzz
+# takes one target per run.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run Fuzz -fuzz=FuzzParseNumber -fuzztime=10s ./internal/server
 	$(GO) test -run Fuzz -fuzz=FuzzEnvJSON -fuzztime=10s ./internal/server
 	$(GO) test -run Fuzz -fuzz=FuzzSpectralKernels -fuzztime=10s ./internal/linalg
+	$(GO) test -run Fuzz -fuzz=FuzzSingularValues -fuzztime=10s ./internal/linalg
+	$(GO) test -run Fuzz -fuzz=FuzzTridiagonalEigen -fuzztime=10s ./internal/linalg
 
 clean:
 	$(GO) clean ./...

@@ -26,6 +26,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -226,6 +227,18 @@ func record(name string, r testing.BenchmarkResult) benchResult {
 	}
 }
 
+// benchSamples is how many testing.Benchmark runs each report entry takes.
+// The entry records the run with the median ns/op. The runs go round-robin
+// over all entries, so one entry's samples are spread over the whole
+// report rather than caught together in one slow stretch of a shared host.
+const benchSamples = 5
+
+// kernelBench is one entry of the benchmark report.
+type kernelBench struct {
+	name string
+	fn   func(b *testing.B)
+}
+
 // runBenchmarks measures the numerical kernels and the experiment engine and
 // writes the results as JSON. The engine is timed at one worker and at
 // GOMAXPROCS workers over the same experiment subset, so the report carries
@@ -248,35 +261,33 @@ func runBenchmarks(path string) error {
 		GoVersion:  runtime.Version(),
 	}
 
+	var benches []kernelBench
 	svdIn := benchMatrix(60, 40, 1)
-	report.Results = append(report.Results, record("SVDJacobi/60x40",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				linalg.SVDJacobi(svdIn)
-			}
-		})))
-	report.Results = append(report.Results, record("SingularValues/spectral/60x40",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			ws := linalg.NewWorkspace()
-			var buf []float64
-			for i := 0; i < b.N; i++ {
-				buf = linalg.AppendSingularValues(buf[:0], svdIn, ws)
-			}
-		})))
+	benches = append(benches, kernelBench{"SVDJacobi/60x40", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			linalg.SVDJacobi(svdIn)
+		}
+	}})
+	benches = append(benches, kernelBench{"SingularValues/spectral/60x40", func(b *testing.B) {
+		b.ReportAllocs()
+		ws := linalg.NewWorkspace()
+		var buf []float64
+		for i := 0; i < b.N; i++ {
+			buf = linalg.AppendSingularValues(buf[:0], svdIn, ws)
+		}
+	}})
 	// The cold_bin serving shape: the O(k³) Gram and Householder kernels
 	// dominate here, where at 60×40 the QL sweep still weighs in.
 	bigIn := benchMatrix(512, 256, 5)
-	report.Results = append(report.Results, record("SingularValues/spectral/512x256",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			ws := linalg.NewWorkspace()
-			var buf []float64
-			for i := 0; i < b.N; i++ {
-				buf = linalg.AppendSingularValues(buf[:0], bigIn, ws)
-			}
-		})))
+	benches = append(benches, kernelBench{"SingularValues/spectral/512x256", func(b *testing.B) {
+		b.ReportAllocs()
+		ws := linalg.NewWorkspace()
+		var buf []float64
+		for i := 0; i < b.N; i++ {
+			buf = linalg.AppendSingularValues(buf[:0], bigIn, ws)
+		}
+	}})
 	symIn := benchMatrix(48, 48, 2)
 	sym := matrix.New(48, 48)
 	for i := 0; i < 48; i++ {
@@ -284,96 +295,89 @@ func runBenchmarks(path string) error {
 			sym.Set(i, j, (symIn.At(i, j)+symIn.At(j, i))/2)
 		}
 	}
-	report.Results = append(report.Results, record("SymEigJacobi/48x48",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				linalg.SymEigJacobi(sym)
+	benches = append(benches, kernelBench{"SymEigJacobi/48x48", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			linalg.SymEigJacobi(sym)
+		}
+	}})
+	benches = append(benches, kernelBench{"SinkhornStandardize/60x40", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sinkhorn.Standardize(svdIn); err != nil {
+				b.Fatal(err)
 			}
-		})))
-	report.Results = append(report.Results, record("SinkhornStandardize/60x40",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sinkhorn.Standardize(svdIn); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
-	report.Results = append(report.Results, record("TMA/cold/16x8",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			tmaIn := benchMatrix(16, 8, 3)
-			for i := 0; i < b.N; i++ {
-				env, err := etcmat.NewFromECS(tmaIn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.TMA(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
-	// Cold TMA at the SVD benchmark shape: the production path (Gram +
-	// tridiagonal QL inside the Env memo) against the same measure computed
-	// through the full Jacobi SVD, which is what the seed paid per evaluation.
-	report.Results = append(report.Results, record("TMA/cold/60x40",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				env, err := etcmat.NewFromECS(svdIn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.TMA(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
-	report.Results = append(report.Results, record("TMA/cold/60x40/jacobi-path",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := sinkhorn.Standardize(svdIn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sv := linalg.SVDJacobi(res.Scaled).S
-				sum := 0.0
-				for _, s := range sv[1:] {
-					sum += s
-				}
-				_ = sum / float64(len(sv)-1)
-			}
-		})))
-	report.Results = append(report.Results, record("TMA/memoized/16x8",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			env, err := etcmat.NewFromECS(benchMatrix(16, 8, 3))
+		}
+	}})
+	benches = append(benches, kernelBench{"TMA/cold/16x8", func(b *testing.B) {
+		b.ReportAllocs()
+		tmaIn := benchMatrix(16, 8, 3)
+		for i := 0; i < b.N; i++ {
+			env, err := etcmat.NewFromECS(tmaIn)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.TMA(env); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := core.TMA(env); err != nil {
+				b.Fatal(err)
 			}
-		})))
-	report.Results = append(report.Results, record("Generate/targeted/10x5",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			rng := rand.New(rand.NewSource(4))
-			for i := 0; i < b.N; i++ {
-				if _, err := gen.Targeted(gen.Target{Tasks: 10, Machines: 5, MPH: 0.6, TDH: 0.8, TMA: 0.3}, rng); err != nil {
-					b.Fatal(err)
-				}
+		}
+	}})
+	// Cold TMA at the SVD benchmark shape: the production path (Gram +
+	// tridiagonal QL inside the Env memo) against the same measure computed
+	// through the full Jacobi SVD, which is what the seed paid per evaluation.
+	benches = append(benches, kernelBench{"TMA/cold/60x40", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			env, err := etcmat.NewFromECS(svdIn)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})))
+			if _, err := core.TMA(env); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+	benches = append(benches, kernelBench{"TMA/cold/60x40/jacobi-path", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := sinkhorn.Standardize(svdIn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sv := linalg.SVDJacobi(res.Scaled).S
+			sum := 0.0
+			for _, s := range sv[1:] {
+				sum += s
+			}
+			_ = sum / float64(len(sv)-1)
+		}
+	}})
+	benches = append(benches, kernelBench{"TMA/memoized/16x8", func(b *testing.B) {
+		b.ReportAllocs()
+		env, err := etcmat.NewFromECS(benchMatrix(16, 8, 3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := core.TMA(env); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+	benches = append(benches, kernelBench{"Generate/targeted/10x5", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < b.N; i++ {
+			if _, err := gen.Targeted(gen.Target{Tasks: 10, Machines: 5, MPH: 0.6, TDH: 0.8, TMA: 0.3}, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
 
 	// Engine: the trial-sweep experiments, sequential vs full-width.
 	suite := enginePool()
-	engineBench := func(workers int) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
+	engineBench := func(workers int) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, r := range experiments.RunAll(context.Background(), suite, workers) {
@@ -382,19 +386,32 @@ func runBenchmarks(path string) error {
 					}
 				}
 			}
-		})
+		}
 	}
-	seq := engineBench(1)
-	par := engineBench(0)
-	seqRec := record("ExperimentEngine/sequential", seq)
-	parRec := record("ExperimentEngine/parallel", par)
+	benches = append(benches,
+		kernelBench{"ExperimentEngine/sequential", engineBench(1)},
+		kernelBench{"ExperimentEngine/parallel", engineBench(0)})
+
+	samples := make([][]testing.BenchmarkResult, len(benches))
+	for round := 0; round < benchSamples; round++ {
+		for i, kb := range benches {
+			samples[i] = append(samples[i], testing.Benchmark(kb.fn))
+		}
+	}
+	medians := make([]testing.BenchmarkResult, len(benches))
+	for i, runs := range samples {
+		sort.Slice(runs, func(a, b int) bool { return runs[a].NsPerOp() < runs[b].NsPerOp() })
+		medians[i] = runs[benchSamples/2]
+		report.Results = append(report.Results, record(benches[i].name, medians[i]))
+	}
+	seq, par := medians[len(benches)-2], medians[len(benches)-1]
+	parRec := &report.Results[len(benches)-1]
 	switch {
 	case runtime.GOMAXPROCS(0) == 1:
 		parRec.Note = "speedup_vs_sequential omitted: GOMAXPROCS=1, parallel run degenerates to the sequential path"
 	case par.NsPerOp() > 0:
 		parRec.SpeedupVsSequential = float64(seq.NsPerOp()) / float64(par.NsPerOp())
 	}
-	report.Results = append(report.Results, seqRec, parRec)
 
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")

@@ -61,6 +61,42 @@ func TestLeaveOneOutSeedPaysOnNearlyDecomposable(t *testing.T) {
 	t.Logf("%d edits: %d rounds seeded, %d cold", len(deltas), seeded, cold)
 }
 
+// TestLeaveOneOutWellMixingRunsCold: on a well-mixing environment (σ₂ far
+// below seedSigma2Min) the sweep runs cold, so every delta has the rounds
+// and the bits of a cold solve of the edited environment.
+func TestLeaveOneOutWellMixingRunsCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rows := make([][]float64, 30)
+	for i := range rows {
+		rows[i] = make([]float64, 20)
+		for j := range rows[i] {
+			rows[i][j] = 1 + rng.Float64()
+		}
+	}
+	env := etcmat.MustFromECS(rows)
+	if _, sv, err := env.StandardForm(); err != nil || sv[1] >= seedSigma2Min {
+		t.Fatalf("input is not well mixing: σ₂ = %v, err %v", sv[1], err)
+	}
+	_, deltas := LeaveOneOut(env)
+	for _, d := range deltas {
+		var edited *etcmat.Env
+		var err error
+		if d.Kind == "machine" {
+			edited, err = env.RemoveMachine(d.Index)
+		} else {
+			edited, err = env.RemoveTask(d.Index)
+		}
+		if err != nil || d.Err != nil {
+			t.Fatalf("%s %d: %v / %v", d.Kind, d.Index, err, d.Err)
+		}
+		cold := Characterize(edited)
+		if d.SinkhornIterations != cold.SinkhornIterations || d.TMA != cold.TMA {
+			t.Errorf("%s %d: %d rounds, TMA %.17g; cold %d rounds, TMA %.17g",
+				d.Kind, d.Index, d.SinkhornIterations, d.TMA, cold.SinkhornIterations, cold.TMA)
+		}
+	}
+}
+
 // TestMutableEnvSeedPaysOnNearlyDecomposable: 30 percent-level cell edits
 // served incrementally each match a cold solve at StreamSolveTol to 1e-10,
 // and take fewer Sinkhorn rounds in total than those cold solves.

@@ -26,10 +26,10 @@ type Delta struct {
 	MPH, TDH, TMA    float64
 	DMPH, DTDH, DTMA float64
 	// SinkhornIterations is the number of normalization rounds the edited
-	// environment's standardization took. Each leave-one-out solve is seeded
-	// with the baseline's scaling vectors (minus the removed index), so this
-	// is typically below the baseline Profile's count — the observable proof
-	// of the warm start.
+	// environment's standardization took. When LeaveOneOut seeds the solve
+	// with the baseline's scaling vectors (minus the removed index), this is
+	// typically below the baseline Profile's count — the observable proof of
+	// the warm start.
 	SinkhornIterations int
 	// Err records edits that produce an invalid environment (for example,
 	// removing the only machine a task type can run on).
@@ -40,18 +40,20 @@ type Delta struct {
 // each task type in turn. Environments with a single task type or machine
 // yield errors for the corresponding edits rather than panicking.
 //
-// Each edited environment differs from the baseline by one row or column,
-// so its standardization is warm-started from the baseline's converged
-// scaling vectors with the removed index dropped (etcmat.Env.
-// StandardFormSeed / sinkhorn.WarmStart): the profiles are identical to the
-// cold ones up to the convergence tolerance — the Sinkhorn limit is unique
-// (Theorem 1) — but converge in fewer rounds. Every seed carries the
-// baseline σ₂ as its over-relaxation hint, and that over-relaxation carries
-// the gain: on a nearly decomposable environment (σ₂ near 1) the seeded
-// sweep takes several times fewer rounds than a cold one, where the seed
-// without it saves none (DESIGN.md §12). The hint's optimum is flat: a
-// per-removal σ₂ from incremental spectral downdating took 1428 rounds over
-// a 288×256 sweep against 1429 with the baseline σ₂, at an O(k³) build.
+// Each edited environment differs from the baseline by one row or column.
+// When the baseline's σ₂ is at least seedSigma2Min, each standardization is
+// warm-started from the baseline's converged scaling vectors with the
+// removed index dropped (etcmat.Env.StandardFormSeed / sinkhorn.WarmStart):
+// the profiles are identical to the cold ones up to the convergence
+// tolerance — the Sinkhorn limit is unique (Theorem 1) — but converge in
+// fewer rounds. Every seed carries the baseline σ₂ as its over-relaxation
+// hint, and that over-relaxation carries the gain: on a nearly decomposable
+// environment (σ₂ near 1) the seeded sweep takes several times fewer rounds
+// than a cold one, where the seed without it saves none (DESIGN.md §12).
+// The hint's optimum is flat: a per-removal σ₂ from incremental spectral
+// downdating took 1428 rounds over a 288×256 sweep against 1429 with the
+// baseline σ₂, at an O(k³) build. Below seedSigma2Min a cold solve needs
+// few rounds and the seeded ones cost more each, so the sweep runs cold.
 func LeaveOneOut(env *etcmat.Env) (baseline *Profile, deltas []Delta) {
 	return LeaveOneOutCtx(context.Background(), env)
 }
@@ -62,6 +64,9 @@ func LeaveOneOut(env *etcmat.Env) (baseline *Profile, deltas []Delta) {
 func LeaveOneOutCtx(ctx context.Context, env *etcmat.Env) (baseline *Profile, deltas []Delta) {
 	baseline = CharacterizeCtx(ctx, env)
 	seed := env.StandardFormSeed()
+	if seed != nil && seed.Sigma2 < seedSigma2Min {
+		seed = nil
+	}
 	for j, name := range env.MachineNames() {
 		d := Delta{Kind: "machine", Index: j, Name: name}
 		edited, err := env.RemoveMachine(j)
@@ -86,6 +91,13 @@ func LeaveOneOutCtx(ctx context.Context, env *etcmat.Env) (baseline *Profile, de
 	}
 	return baseline, deltas
 }
+
+// seedSigma2Min is the baseline σ₂ from which LeaveOneOut seeds its
+// removals. It is the measured crossover of seeded against cold sweep time
+// (DESIGN.md §12): a seeded round over-relaxes with one math.Pow per row and
+// column, which weighs most on small environments, and at 60×40 the seeded
+// sweep lost 4% at σ₂ = 0.74 and won 4% at σ₂ = 0.82.
+const seedSigma2Min = 0.75
 
 func fillDelta(d *Delta, base, p *Profile) {
 	d.MPH, d.TDH, d.TMA = p.MPH, p.TDH, p.TMA

@@ -3,7 +3,7 @@
 // a Golub–Reinsch SVD, a one-sided Jacobi SVD used as an independent
 // cross-check, a cyclic Jacobi symmetric eigensolver, and a values-only
 // spectral fast path (Gram matrix + Householder tridiagonalization +
-// implicit-shift QL) for consumers that need σ but not U/V.
+// root-free QL) for consumers that need σ but not U/V.
 //
 // The task-machine affinity measure (TMA) of the reproduced paper is a
 // function of the singular values of a standardized ECS matrix, so the SVD is

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -15,9 +16,13 @@ import (
 // SVD per evaluation is waste. Instead the m×n input is reduced to its
 // min-dimension Gram matrix G (σ² are G's eigenvalues), G is
 // Householder-tridiagonalized, and the tridiagonal eigenvalues are extracted
-// with the implicit-shift QL iteration — O(k³) on k = min(m, n) with no
-// vector accumulation, versus the O(m·n·k) per sweep × many sweeps of the
+// with the root-free QL iteration — O(k³) on k = min(m, n) with no vector
+// accumulation, versus the O(m·n·k) per sweep × many sweeps of the
 // one-sided Jacobi SVD.
+//
+// The path is held to a written accuracy contract (DESIGN.md §9): on a
+// standard form (σ₁ = 1), every eigenvalue σᵢ² of G lies within 4·k·ε of
+// the Jacobi SVD's.
 //
 // The trade: forming G squares the condition number, so singular values below
 // about √ε·σ₁ carry halved relative precision, and eigenvalues within
@@ -113,9 +118,10 @@ func appendSingularValues(tr *obs.Trace, dst []float64, a *matrix.Dense, ws *Wor
 	sp = tr.StartSpan("eigensolve")
 	d, e := ws.vecs(k)
 	tridiagonalize(g, d, e)
-	if !tqlImplicitShift(d, e) {
+	if !tqlRootFree(d, e) {
 		// The QL budget essentially never trips; fall back to the Jacobi SVD
 		// oracle rather than return a partial spectrum.
+		eigenFallbacks.Add(1)
 		res := append(dst, SVDJacobi(a).S...)
 		sp.End()
 		return res
@@ -219,67 +225,98 @@ func tridiagonalize(g *matrix.Dense, d, e []float64) {
 	}
 }
 
-// tqlImplicitShift finds all eigenvalues of the symmetric tridiagonal matrix
-// with diagonal d and subdiagonal e[1:] by the QL algorithm with implicit
-// shifts, overwriting d with the (unordered) eigenvalues. It reports false if
-// any eigenvalue fails to converge within the iteration budget. e is
-// destroyed.
-func tqlImplicitShift(d, e []float64) bool {
+// qlMaxIter is the per-eigenvalue iteration budget of tqlRootFree. Tests
+// lower it to drive the Jacobi fallback.
+var qlMaxIter = 50
+
+// eigenFallbacks counts spectra whose QL iteration tripped its budget and
+// fell back to the Jacobi SVD, process-wide.
+var eigenFallbacks atomic.Uint64
+
+// EigensolverFallbacks reports how many spectra this process computed with
+// the Jacobi SVD because the root-free QL iteration did not converge within
+// its budget.
+func EigensolverFallbacks() uint64 { return eigenFallbacks.Load() }
+
+// tqlRootFree finds all eigenvalues of the symmetric tridiagonal matrix with
+// diagonal d and subdiagonal e[1:] by the root-free QL iteration of Pal,
+// Walker and Kahan (EISPACK tqlrat), overwriting d with the unordered
+// eigenvalues. It works on the squared off-diagonal, which it writes over e
+// in place, so a rotation needs no square root: one per iteration forms the
+// shift. The split test is tqlrat's absolute one, e² ≤ (ε·t)² with t the
+// largest |d|+|e| seen, which bounds every eigenvalue's error by a multiple
+// of ε·‖T‖ (DESIGN.md §9). It reports false if an eigenvalue fails to
+// converge within qlMaxIter iterations. e is destroyed.
+func tqlRootFree(d, e []float64) bool {
 	n := len(d)
 	if n <= 1 {
 		return true
 	}
 	for i := 1; i < n; i++ {
-		e[i-1] = e[i]
+		e[i-1] = e[i] * e[i]
 	}
 	e[n-1] = 0
+	f, t, b, c := 0.0, 0.0, 0.0, 0.0
 	for l := 0; l < n; l++ {
-		for iter := 0; ; iter++ {
-			var m int
-			for m = l; m < n-1; m++ {
-				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				if math.Abs(e[m]) <= macheps*dd {
-					break
-				}
-			}
-			if m == l {
-				break
-			}
-			if iter == 50 {
+		if h := math.Abs(d[l]) + math.Sqrt(e[l]); t < h {
+			t = h
+			b = macheps * t
+			c = b * b
+		}
+		// Look for a negligible squared off-diagonal; e[n-1] is always 0.
+		m := l
+		for e[m] > c {
+			m++
+		}
+		// As in tqlrat, the block end m stays fixed until d[l] converges.
+		for iter := 0; m > l; iter++ {
+			if iter == qlMaxIter {
 				return false
 			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := pythag(g, 1)
-			g = d[m] - d[l] + e[l]/(g+signOf(r, g))
-			s, c, p := 1.0, 1.0, 0.0
-			underflow := false
+			// Shift every unconverged diagonal by the eigenvalue estimate of
+			// the leading 2×2 block; f accumulates the shifts.
+			s := math.Sqrt(e[l])
+			g := d[l]
+			p := (d[l+1] - g) / (2 * s)
+			r := pythag(p, 1)
+			d[l] = s / (p + signOf(r, p))
+			h := g - d[l]
+			for i := l + 1; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+			// Rational QL sweep from m up to l; a zero pivot g is replaced
+			// by b (ε·t), so no divide is by zero.
+			g = d[m]
+			if g == 0 {
+				g = b
+			}
+			h = g
+			s = 0
 			for i := m - 1; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
-				r = pythag(f, g)
-				e[i+1] = r
-				if r == 0 {
-					// Recover from underflow by restarting this eigenvalue.
-					d[i+1] -= p
-					e[m] = 0
-					underflow = true
-					break
+				p = g * h
+				r = p + e[i]
+				e[i+1] = s * r
+				s = e[i] / r
+				d[i+1] = h + s*(h+d[i])
+				g = d[i] - e[i]/g
+				if g == 0 {
+					g = b
 				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
-				d[i+1] = g + p
-				g = c*r - b
+				h = g * p / r
 			}
-			if underflow {
-				continue
+			e[l] = s * g
+			d[l] = h
+			// e[l]·h is the new squared off-diagonal; test it against c
+			// without forming it, so the test cannot underflow.
+			if h == 0 || math.Abs(e[l]) <= math.Abs(c/h) {
+				break
 			}
-			d[l] -= p
-			e[l] = g
-			e[m] = 0
+			if e[l] *= h; e[l] == 0 {
+				break
+			}
 		}
+		d[l] += f
 	}
 	return true
 }

@@ -161,6 +161,22 @@ func TestAppendSingularValuesZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestQLBudgetFallsBackToJacobi: a QL iteration that trips its budget must
+// hand back the Jacobi SVD's spectrum and count one fallback.
+func TestQLBudgetFallsBackToJacobi(t *testing.T) {
+	defer func(n int) { qlMaxIter = n }(qlMaxIter)
+	qlMaxIter = 0
+	a := randMat(rand.New(rand.NewSource(75)), 30, 20)
+	before := EigensolverFallbacks()
+	got := SingularValues(a, nil)
+	if n := EigensolverFallbacks() - before; n != 1 {
+		t.Errorf("fallback counter moved by %d, want 1", n)
+	}
+	if want := SVDJacobi(a).S; !floatsBitEqual(got, want) {
+		t.Errorf("fallback spectrum %v, Jacobi %v", got, want)
+	}
+}
+
 // FuzzSingularValues fuzzes matrix shape and content, asserting the spectral
 // path agrees with the Jacobi oracle and never emits NaN or negatives.
 func FuzzSingularValues(f *testing.F) {

@@ -588,9 +588,9 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, codeTimeout, "request deadline expired")
 		return
 	}
-	// LeaveOneOutCtx warm-starts every removal solve from the baseline's
-	// converged Sinkhorn scalings; each delta reports its (much smaller)
-	// iteration count next to the baseline's.
+	// LeaveOneOutCtx warm-starts the removal solves of a slowly mixing
+	// environment from the baseline's converged Sinkhorn scalings; each
+	// delta reports its iteration count next to the baseline's.
 	sp = obs.StartSpan(r.Context(), "compute")
 	baseline, deltas := core.LeaveOneOutCtx(r.Context(), env)
 	sp.End()

@@ -75,7 +75,7 @@ type metric struct {
 	mu               sync.Mutex
 	counters         map[string]*counter   // label string -> child
 	hists            map[string]*histogram // label string -> child
-	gauge            gaugeFunc
+	gauge            gaugeFunc             // a scrape-time gauge or counter
 }
 
 // Metrics is the registry behind GET /metrics. All methods are safe for
@@ -146,6 +146,16 @@ func (m *Metrics) Gauge(name, help string, fn gaugeFunc) {
 	f.mu.Unlock()
 }
 
+// CounterFunc registers a scrape-time counter for the named family — used
+// for tallies another package keeps, such as the eigensolver's Jacobi
+// fallbacks. fn must never decrease.
+func (m *Metrics) CounterFunc(name, help string, fn gaugeFunc) {
+	f := m.family(name, help, "counter")
+	f.mu.Lock()
+	f.gauge = fn
+	f.mu.Unlock()
+}
+
 // WriteTo renders the registry in the Prometheus text format.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	m.mu.Lock()
@@ -165,17 +175,16 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 		f.mu.Lock()
+		if f.gauge != nil {
+			if err := pr("%s %s\n", f.name, formatFloat(f.gauge())); err != nil {
+				f.mu.Unlock()
+				return n, err
+			}
+		}
 		switch f.kind {
 		case "counter":
 			for _, labels := range sortedKeys(f.counters) {
 				if err := pr("%s%s %d\n", f.name, renderLabels(labels), f.counters[labels].Value()); err != nil {
-					f.mu.Unlock()
-					return n, err
-				}
-			}
-		case "gauge":
-			if f.gauge != nil {
-				if err := pr("%s %s\n", f.name, formatFloat(f.gauge())); err != nil {
 					f.mu.Unlock()
 					return n, err
 				}

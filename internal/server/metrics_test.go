@@ -47,6 +47,20 @@ func TestMetricsRendering(t *testing.T) {
 	}
 }
 
+func TestMetricsCounterFunc(t *testing.T) {
+	m := NewMetrics()
+	n := 2.0
+	m.CounterFunc("fallbacks_total", "Fallbacks.", func() float64 { return n })
+	n = 5
+	var sb strings.Builder
+	if _, err := m.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# HELP fallbacks_total Fallbacks.\n# TYPE fallbacks_total counter\nfallbacks_total 5\n"; sb.String() != want {
+		t.Errorf("rendered %q, want %q", sb.String(), want)
+	}
+}
+
 func TestMetricsHistogramCumulative(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1.5, 1.7, 3, 100} {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/linalg"
 )
 
 // Config shapes a serving instance. The zero value is usable: every field
@@ -204,6 +205,9 @@ func New(cfg Config) *Server {
 		func() float64 { return time.Since(s.start).Seconds() })
 	m.Gauge("hcserved_stream_sessions", "Stream sessions currently live.",
 		func() float64 { return float64(s.streams.active.Load()) })
+	m.CounterFunc("hcserved_eigensolver_fallbacks_total",
+		"Spectra solved by the Jacobi SVD because the QL eigensolver tripped its iteration budget (process-wide).",
+		func() float64 { return float64(linalg.EigensolverFallbacks()) })
 
 	if cfg.Cluster != nil {
 		s.initCluster(*cfg.Cluster)

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/linalg"
 )
 
 func quietLogger() *slog.Logger {
@@ -500,6 +502,21 @@ func TestHealthz(t *testing.T) {
 	for _, key := range []string{"uptimeSeconds", "inflight", "queued", "cacheEntries", "workers", "goVersion"} {
 		if _, ok := h[key]; !ok {
 			t.Errorf("healthz missing %q: %s", key, body)
+		}
+	}
+}
+
+// The eigensolver's Jacobi fallbacks are a process-wide tally kept in
+// linalg; /metrics exports it as a counter read at scrape time.
+func TestMetricsEigensolverFallbacks(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	_, body := get(t, ts, "/metrics")
+	for _, want := range []string{
+		"# TYPE hcserved_eigensolver_fallbacks_total counter",
+		fmt.Sprintf("hcserved_eigensolver_fallbacks_total %d\n", linalg.EigensolverFallbacks()),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
 		}
 	}
 }
