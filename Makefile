@@ -147,15 +147,19 @@ streamload:
 
 # Short fuzz runs (the CI smoke step): the binary frame decoder, the JSON
 # scanner's fused number parser against strconv, the whole JSON env scanner
-# against encoding/json, the Gram and Householder kernels against their
-# bit-exact reference loops, on the AVX2 path (where the CPU has it) and the
-# scalar path, which must also agree with each other, and the values-only
-# spectrum and the root-free QL stage against the Jacobi oracles. -fuzz
-# takes one target per run.
+# against encoding/json, the binary, JSON and CSV forms of one environment
+# against each other and hostile binary frames against the reference
+# decode, the Sinkhorn passes and the Gram and Householder kernels on the
+# AVX2 path (where the CPU has it) against the scalar path and the
+# spectral kernels against their bit-exact reference loops, and the
+# values-only spectrum and the root-free QL stage against the Jacobi
+# oracles. -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run Fuzz -fuzz=FuzzParseNumber -fuzztime=10s ./internal/server
 	$(GO) test -run Fuzz -fuzz=FuzzEnvJSON -fuzztime=10s ./internal/server
+	$(GO) test -run Fuzz -fuzz=FuzzEnvFormats -fuzztime=10s ./internal/server
+	$(GO) test -run Fuzz -fuzz=FuzzSinkhornPasses -fuzztime=10s ./internal/matrix
 	$(GO) test -run Fuzz -fuzz=FuzzSpectralKernels -fuzztime=10s ./internal/linalg
 	$(GO) test -run Fuzz -fuzz=FuzzSingularValues -fuzztime=10s ./internal/linalg
 	$(GO) test -run Fuzz -fuzz=FuzzTridiagonalEigen -fuzztime=10s ./internal/linalg

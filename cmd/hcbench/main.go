@@ -58,7 +58,7 @@ func run() (code int) {
 	p99Threshold := flag.Float64("p99threshold", 3.0, "benchdiff: fractional warm-p99 regression that fails when -gatep99 is set")
 	wirebench := flag.String("wirebench", "", "run the request-decode micro-benchmarks (stdlib JSON vs streaming vs binary) and merge a decode_bench section into this serving report file (\"-\" for stdout)")
 	scalebench := flag.String("scalebench", "", "run the fleet-scale sweep (Gram, spectral, tiled balance, characterize) and write a scale report to this file (\"-\" for stdout)")
-	scaleSizes := flag.String("sizes", "1000,4000,10000", "scalebench: comma-separated matrix edges to sweep")
+	scaleSizes := flag.String("sizes", "1000,4000,10000", "scalebench: comma-separated sizes to sweep, each a square edge N or a shape RxC")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")

@@ -58,19 +58,25 @@ type scaleReport struct {
 	Results    []scaleResult `json:"results"`
 }
 
-// parseSizes parses the -sizes list ("1000,4000,10000").
-func parseSizes(csv string) ([]int, error) {
-	var sizes []int
+// parseSizes parses the -sizes list ("1000,4000,10000"): each entry is a
+// square edge n or a rows×columns shape RxC ("8192x256").
+func parseSizes(csv string) ([][2]int, error) {
+	var sizes [][2]int
 	for _, f := range strings.Split(csv, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
 		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad size %q (want integers >= 2)", f)
+		rs, cs, rect := strings.Cut(f, "x")
+		r, err := strconv.Atoi(rs)
+		c := r
+		if err == nil && rect {
+			c, err = strconv.Atoi(cs)
 		}
-		sizes = append(sizes, n)
+		if err != nil || r < 2 || c < 2 {
+			return nil, fmt.Errorf("bad size %q (want integers >= 2, as N or RxC)", f)
+		}
+		sizes = append(sizes, [2]int{r, c})
 	}
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("no sizes given")
@@ -100,50 +106,72 @@ func runScaleBench(path, sizesCSV string) error {
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
 	}
-	add := func(name string, n int, r testing.BenchmarkResult, note string) {
-		rep.Results = append(rep.Results, scaleResult{
-			Name:    fmt.Sprintf("%s/%d", name, n),
-			Size:    n,
-			NsPerOp: float64(r.NsPerOp()),
-			Gated:   n == scaleGateSize,
-			Note:    note,
-		})
-		fmt.Fprintf(os.Stderr, "hcbench: scale: %s/%d  %.3fs/op\n", name, n, float64(r.NsPerOp())/1e9)
-	}
-
-	for _, n := range sizes {
-		a := benchMatrix(n, n, int64(n))
-		g := matrix.New(n, n)
-
-		add("Scale/gram/serial", n, testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matrix.GramInto(g.Reset(n, n), a)
-			}
-		}), "")
-
-		// One fused balance pass, row-streaming vs cache-oblivious tiled. The
-		// unit factors keep the matrix bit-stable across iterations.
-		w := a.Clone()
-		ones := make([]float64, n)
-		for i := range ones {
-			ones[i] = 1
+	for _, shape := range sizes {
+		// A square size keeps its plain edge in record names; a rectangular
+		// one is named RxC and never gates.
+		t, m := shape[0], shape[1]
+		n, label := t, strconv.Itoa(t)
+		if t != m {
+			n, label = max(t, m), fmt.Sprintf("%dx%d", t, m)
 		}
-		sums := make([]float64, n)
-		add("Scale/sinkhorn/pass/row", n, testing.Benchmark(func(b *testing.B) {
+		add := func(name string, r testing.BenchmarkResult, note string) {
+			rep.Results = append(rep.Results, scaleResult{
+				Name:    name + "/" + label,
+				Size:    n,
+				NsPerOp: float64(r.NsPerOp()),
+				Gated:   t == m && n == scaleGateSize,
+				Note:    note,
+			})
+			fmt.Fprintf(os.Stderr, "hcbench: scale: %s/%s  %.3fs/op\n", name, label, float64(r.NsPerOp())/1e9)
+		}
+		a := benchMatrix(t, m, int64(n))
+		k := min(t, m)
+		g := matrix.New(k, k)
+
+		add("Scale/gram/serial", testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w.ScaleColsRowSums(ones, sums)
+				matrix.GramInto(g.Reset(k, k), a)
 			}
 		}), "")
-		add("Scale/sinkhorn/pass/tiled", n, testing.Benchmark(func(b *testing.B) {
+
+		// The two fused balance passes, whole-row vs cache-oblivious tiled:
+		// "pass" scales columns and sums rows, "rowpass" scales rows and
+		// sums columns. The unit factors keep the matrix bit-stable across
+		// iterations.
+		w := a.Clone()
+		rowOnes, colOnes := make([]float64, t), make([]float64, m)
+		for i := range rowOnes {
+			rowOnes[i] = 1
+		}
+		for j := range colOnes {
+			colOnes[j] = 1
+		}
+		rowSums, colSums := make([]float64, t), make([]float64, m)
+		add("Scale/sinkhorn/pass/row", testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sinkhorn.ScaleColsRowSumsTiled(w, ones, sums)
+				w.ScaleColsRowSums(colOnes, rowSums)
+			}
+		}), "")
+		add("Scale/sinkhorn/pass/tiled", testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkhorn.ScaleColsRowSumsTiled(w, colOnes, rowSums)
+			}
+		}), "")
+		add("Scale/sinkhorn/rowpass/row", testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.ScaleRowsColSums(rowOnes, colSums)
+			}
+		}), "")
+		add("Scale/sinkhorn/rowpass/tiled", testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkhorn.ScaleRowsColSumsTiled(w, rowOnes, colSums)
 			}
 		}), "")
 
 		if n <= scaleSpectralMax {
 			ws := linalg.NewWorkspace()
 			var buf []float64
-			add("Scale/spectral/serial", n, testing.Benchmark(func(b *testing.B) {
+			add("Scale/spectral/serial", testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					buf = linalg.AppendSingularValues(buf[:0], a, ws)
 				}
@@ -152,7 +180,7 @@ func runScaleBench(path, sizesCSV string) error {
 			// End-to-end characterization, environment build included, with
 			// the serving tier's buffer recycling so iterations reuse pooled
 			// storage the way steady-state requests do.
-			add("Scale/characterize", n, testing.Benchmark(func(b *testing.B) {
+			add("Scale/characterize", testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					env, err := etcmat.NewFromECS(a)
 					if err != nil {
@@ -167,7 +195,7 @@ func runScaleBench(path, sizesCSV string) error {
 			}), "")
 		} else {
 			rep.Results = append(rep.Results, scaleResult{
-				Name: fmt.Sprintf("Scale/spectral/skipped/%d", n),
+				Name: "Scale/spectral/skipped/" + label,
 				Size: n,
 				Note: fmt.Sprintf("O(n³) spectral and characterize stages not measured past %d", scaleSpectralMax),
 			})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"math"
+	"unsafe"
 )
 
 // ContentKey is the canonical content address of an environment: a SHA-256
@@ -97,6 +98,25 @@ func (c *ContentHasher) WriteValues(vs []float64) {
 		c.WriteValue(v)
 	}
 }
+
+// WriteCells appends ECS cells that hold no −0 — the reciprocals
+// ECSFromETCWords writes never do — to the canonical stream. On a
+// little-endian host their memory already is that stream, so it reaches
+// SHA-256 in one Write; elsewhere they go value by value. A −0 cell would
+// hash unlike the +0 WriteValue canonicalizes it to.
+func (c *ContentHasher) WriteCells(vs []float64) {
+	if !littleEndian {
+		c.WriteValues(vs)
+		return
+	}
+	c.h.Write(c.buf[:c.n])
+	c.n = 0
+	c.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs)))
+}
+
+// littleEndian reports whether float64 values sit in memory in the
+// canonical stream's byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // WriteOnes appends n unit weights — the canonical form of an absent weight
 // vector.

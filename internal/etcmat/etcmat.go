@@ -14,6 +14,7 @@ package etcmat
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -113,12 +114,7 @@ func validateECS(ecs *matrix.Dense) error {
 		return fmt.Errorf("%w: empty matrix", ErrInvalid)
 	}
 	var stack [8]uint64
-	seen := stack[:]
-	if words := (m + 63) / 64; words > len(stack) {
-		seen = make([]uint64, words)
-	} else {
-		seen = seen[:words]
-	}
+	seen := columnBits(&stack, m)
 	zeroRow := -1
 	data := ecs.RawData()
 	for i := 0; i < t; i++ {
@@ -129,10 +125,10 @@ func validateECS(ecs *matrix.Dense) error {
 			// does not chain a load and a store of seen through every cell.
 			bits := uint64(0)
 			for b, v := range row[w*64 : min(w*64+64, m)] {
-				if v > 0 && v <= math.MaxFloat64 {
+				if ecsPositive(v) {
 					bits |= 1 << (b & 63)
 				} else if v != 0 { // NaN, ±Inf or negative
-					return fmt.Errorf("%w: ECS(%d,%d) = %g must be finite and nonnegative", ErrInvalid, i, w*64+b, v)
+					return ecsCellError(i, w*64+b, v)
 				}
 			}
 			seen[w] |= bits
@@ -142,6 +138,30 @@ func validateECS(ecs *matrix.Dense) error {
 			zeroRow = i
 		}
 	}
+	return zeroLineError(zeroRow, seen, m)
+}
+
+// ecsPositive reports whether an ECS cell is a usable speed: positive and
+// finite. Any other cell but zero (NaN, ±Inf, negative) is invalid.
+func ecsPositive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
+func ecsCellError(i, j int, v float64) error {
+	return fmt.Errorf("%w: ECS(%d,%d) = %g must be finite and nonnegative", ErrInvalid, i, j, v)
+}
+
+// columnBits returns a zeroed bit per column for m columns, in stack when
+// it is large enough.
+func columnBits(stack *[8]uint64, m int) []uint64 {
+	words := (m + 63) / 64
+	if words <= len(stack) {
+		return stack[:words]
+	}
+	return make([]uint64, words)
+}
+
+// zeroLineError reports the first all-zero row (zeroRow, or -1 for none),
+// then the first of the m columns whose bit in seen is clear.
+func zeroLineError(zeroRow int, seen []uint64, m int) error {
 	if zeroRow >= 0 {
 		return fmt.Errorf("%w: task type %d cannot run on any machine (all-zero ECS row)", ErrInvalid, zeroRow)
 	}
@@ -152,6 +172,77 @@ func validateECS(ecs *matrix.Dense) error {
 	}
 	return nil
 }
+
+// etcToECS applies Eq. 1 to one ETC cell: a positive time becomes its
+// reciprocal speed and +Inf (cannot run) becomes speed 0; ok is false for
+// every other cell (NaN, zero, negative, -Inf).
+func etcToECS(v float64) (ecs float64, ok bool) {
+	if v > 0 && v <= math.MaxFloat64 {
+		return 1 / v, true
+	}
+	return 0, math.IsInf(v, 1)
+}
+
+func etcCellError(i, j int, v float64) error {
+	return fmt.Errorf("%w: ETC(%d,%d) = %g must be positive or +Inf", ErrInvalid, i, j, v)
+}
+
+// ECSFromETCWords converts the t×m ETC matrix whose cells are the row-major
+// little-endian float64 words of words (a binary matrix frame's payload) to
+// its ECS form in dst, which must hold t·m cells, in one sweep that reads
+// each cell once. The sweep applies NewFromETC's cell rule and gathers what
+// validateECS would check on the result, so NewFromCheckedECS can adopt dst
+// without a second pass. etcErr is NewFromETC's error for the first cell
+// that is neither positive nor +Inf; it outranks everything, and the sweep
+// stops there. Otherwise ecsErr is the error NewFromECS would report for the
+// converted matrix (a reciprocal can overflow to +Inf, and a line can be all
+// +Inf), or nil. The cells written are never −0.
+func ECSFromETCWords(dst []float64, words []byte, t, m int) (etcErr, ecsErr error) {
+	if t <= 0 || m <= 0 {
+		return nil, fmt.Errorf("%w: empty matrix", ErrInvalid)
+	}
+	n := t * m
+	dst, words = dst[:n], words[:8*n]
+	var stack [8]uint64
+	seen := columnBits(&stack, m)
+	zeroRow := -1
+	for i := 0; i < t; i++ {
+		positive := uint64(0)
+		for w := range seen {
+			bits := uint64(0)
+			k0 := i*m + w*64
+			out := dst[k0 : k0+min(64, m-w*64)]
+			in := words[8*k0 : 8*(k0+len(out))]
+			for b := range out {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(in[8*b:]))
+				e, ok := etcToECS(v)
+				if !ok {
+					return etcCellError(i, w*64+b, v), nil
+				}
+				out[b] = e
+				if ecsPositive(e) {
+					bits |= 1 << (b & 63)
+				} else if e != 0 && ecsErr == nil {
+					ecsErr = ecsCellError(i, w*64+b, e)
+				}
+			}
+			seen[w] |= bits
+			positive |= bits
+		}
+		if positive == 0 && zeroRow < 0 {
+			zeroRow = i
+		}
+	}
+	if ecsErr != nil {
+		return nil, ecsErr
+	}
+	return nil, zeroLineError(zeroRow, seen, m)
+}
+
+// NewFromCheckedECS adopts ecs, whose cells ECSFromETCWords wrote and
+// reported valid (both errors nil), as NewFromECSOwned would, without
+// sweeping it a second time. The environment owns ecs from here on.
+func NewFromCheckedECS(ecs *matrix.Dense) *Env { return adoptECS(ecs) }
 
 func adoptECS(ecs *matrix.Dense) *Env {
 	t, m := ecs.Dims()
@@ -176,15 +267,11 @@ func NewFromETC(etc *matrix.Dense) (*Env, error) {
 	ecs := matrix.New(t, m)
 	for i := 0; i < t; i++ {
 		for j := 0; j < m; j++ {
-			v := etc.At(i, j)
-			switch {
-			case math.IsInf(v, 1):
-				ecs.Set(i, j, 0)
-			case math.IsNaN(v) || v <= 0:
-				return nil, fmt.Errorf("%w: ETC(%d,%d) = %g must be positive or +Inf", ErrInvalid, i, j, v)
-			default:
-				ecs.Set(i, j, 1/v)
+			v, ok := etcToECS(etc.At(i, j))
+			if !ok {
+				return nil, etcCellError(i, j, etc.At(i, j))
 			}
+			ecs.Set(i, j, v)
 		}
 	}
 	return NewFromECS(ecs)
@@ -245,9 +332,14 @@ func (e *Env) weightedECS() *matrix.Dense {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	if mm.weighted == nil {
-		w := matrix.ClonePooled(e.ecs)
-		w.ScaleRows(e.taskWeights)
-		w.ScaleCols(e.machineWeights)
+		// x·1 == x exactly, so under unit weights the weighted matrix is the
+		// ECS matrix itself and is shared rather than copied and scaled.
+		w := e.ecs
+		if !allOnes(e.taskWeights) || !allOnes(e.machineWeights) {
+			w = matrix.ClonePooled(e.ecs)
+			w.ScaleRows(e.taskWeights)
+			w.ScaleCols(e.machineWeights)
+		}
 		mm.weighted = w
 		mm.weightedRowSums = w.RowSums()
 		mm.weightedColSums = w.ColSums()
@@ -378,10 +470,12 @@ func (e *Env) ReleaseBuffers() {
 	mm := e.memo
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
+	if mm.weighted != e.ecs { // unit weights share the ECS matrix
+		matrix.Recycle(mm.weighted)
+	}
+	mm.weighted = nil
 	matrix.Recycle(e.ecs)
 	e.ecs = nil
-	matrix.Recycle(mm.weighted)
-	mm.weighted = nil
 	if mm.std != nil {
 		matrix.Recycle(mm.std.Scaled)
 		mm.std = nil
@@ -619,7 +713,7 @@ func (e *Env) clone() *Env {
 func defaultNames(prefix string, n int) []string {
 	names := make([]string, n)
 	for i := range names {
-		names[i] = fmt.Sprintf("%s%d", prefix, i+1)
+		names[i] = prefix + strconv.Itoa(i+1)
 	}
 	return names
 }
@@ -630,6 +724,15 @@ func allIndices(n int) []int {
 		idx[i] = i
 	}
 	return idx
+}
+
+func allOnes(v []float64) bool {
+	for _, x := range v {
+		if x != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 func onesVec(n int) []float64 {

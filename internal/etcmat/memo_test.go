@@ -2,6 +2,7 @@ package etcmat
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -123,6 +124,49 @@ func TestStandardFormConcurrent(t *testing.T) {
 			if r.cols[j] != results[0].cols[j] {
 				t.Errorf("goroutine %d: col sums diverge at %d", g, j)
 			}
+		}
+	}
+}
+
+// Default names are t1…tT and m1…mM.
+func TestDefaultNames(t *testing.T) {
+	env := memoTestEnv(t)
+	if got := strings.Join(env.TaskNames(), ","); got != "t1,t2,t3,t4" {
+		t.Errorf("task names %s", got)
+	}
+	if got := strings.Join(env.MachineNames(), ","); got != "m1,m2,m3" {
+		t.Errorf("machine names %s", got)
+	}
+	if got := defaultNames("m", 12)[11]; got != "m12" {
+		t.Errorf("name 12 is %q", got)
+	}
+}
+
+// Under unit weights the weighted matrix is the ECS matrix itself (x·1 is
+// x exactly); any other weight gets a scaled copy. ReleaseBuffers empties
+// both kinds.
+func TestUnitWeightsShareECS(t *testing.T) {
+	env := memoTestEnv(t)
+	if env.weightedECS() != env.ecs {
+		t.Fatal("unit weights copied the ECS matrix")
+	}
+	if !matrix.EqualTol(env.WeightedECS(), env.ECS(), 0) {
+		t.Fatal("weighted matrix differs from the ECS matrix under unit weights")
+	}
+	weighted, err := memoTestEnv(t).WithWeights([]float64{1, 2, 1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weighted.weightedECS() == weighted.ecs {
+		t.Fatal("non-unit weights share the ECS matrix")
+	}
+	if got := weighted.WeightedECS().At(1, 2); got != 2 {
+		t.Errorf("weighted cell (1,2) = %v, want 2", got)
+	}
+	for _, e := range []*Env{env, weighted} {
+		e.ReleaseBuffers()
+		if e.ecs != nil || e.memo.weighted != nil {
+			t.Fatal("ReleaseBuffers kept a matrix")
 		}
 	}
 }

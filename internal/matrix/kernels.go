@@ -4,9 +4,11 @@ import "fmt"
 
 // This file dispatches the two O(k³) loops of the values-only spectral
 // pipeline — the AᵀA Gram product and the Householder tridiagonalization in
-// internal/linalg — to AVX2 kernels where the CPU has them (amd64 only; see
-// kernels_amd64.s), and holds the scalar Householder kernels that run
-// everywhere else. The choice is made once, at package init, from CPUID.
+// internal/linalg — and the two fused passes of a Sinkhorn round
+// (ScaleColsRowSums, ScaleRowsColSums) to AVX2 kernels where the CPU has them
+// (amd64 only; see kernels_amd64.s), and holds the scalar Householder
+// kernels that run everywhere else. The choice is made once, at package
+// init, from CPUID.
 //
 // The vector kernels are bit-identical to the scalar loops: each vector lane
 // carries one output element, and every element goes through the same
@@ -14,8 +16,8 @@ import "fmt"
 // code (Go on amd64 never fuses a multiply and an add unless asked through
 // math.FMA, and the kernels use no FMA instruction). See DESIGN.md §9.
 
-// vectorKernels is true when the AVX2 kernels serve AᵀA and the
-// Householder passes.
+// vectorKernels is true when the AVX2 kernels serve AᵀA, the Householder
+// passes and the Sinkhorn passes.
 var vectorKernels = cpuHasAVX2()
 
 // VectorKernels reports whether the AVX2 kernels are in use.
@@ -83,6 +85,33 @@ func ataVector(dst, a *Dense) {
 		gramRowsVector(dst.data, n, a.data[i0*n:(i0+p)*n], p)
 	}
 	mirrorUpper(dst.data, n)
+}
+
+// scaleColsRowSumsVector runs the column pass of ScaleColsRowSums on the
+// leading rows of the rows×cols matrix data, four at a time, and returns how
+// many rows it did (rows&^3); the caller runs the rest. The kernel covers
+// columns up to cols&^3 and leaves each row's partial sum in rowSums; the
+// loop below then continues every sum over the remaining columns in order,
+// so each row still adds its cells in ascending column order.
+func scaleColsRowSumsVector(data []float64, cols int, f, rowSums []float64) int {
+	rows := len(rowSums) &^ 3
+	if rows == 0 {
+		return 0
+	}
+	scaleColsRowSums(data[:rows*cols], cols, f, rowSums[:rows])
+	if c4 := cols &^ 3; c4 < cols {
+		for i := 0; i < rows; i++ {
+			row := data[i*cols+c4 : (i+1)*cols]
+			s := rowSums[i]
+			for j, fj := range f[c4:] {
+				v := row[j] * fj
+				row[j] = v
+				s += v
+			}
+			rowSums[i] = s
+		}
+	}
+	return rows
 }
 
 // SymMulVec sets p = G·u, where G is the leading n×n block (n = len(u) =

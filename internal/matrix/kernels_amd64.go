@@ -32,3 +32,9 @@ func rowCombination(p []float64, w []float64, stride int, u []float64)
 
 //go:noescape
 func symRank2(w []float64, stride int, u, q []float64)
+
+//go:noescape
+func scaleColsRowSums(data []float64, cols int, f, rowSums []float64)
+
+//go:noescape
+func scaleRowsColSums(data []float64, cols int, f, colSums []float64)

@@ -239,3 +239,146 @@ r2Next:
 r2Done:
 	VZEROUPPER
 	RET
+
+// func scaleColsRowSums(data []float64, cols int, f, rowSums []float64)
+//
+// The column pass of a Sinkhorn round over the first len(rowSums) rows of the
+// row-major matrix data (len(rowSums) a multiple of 4): for each row i and
+// j < cols&^3 in order, v = data[i*cols+j]·f[j] is stored back and added to
+// the row's sum, which is left in rowSums[i]. Four rows travel together: the
+// four scaled row segments of a 4×4 block are transposed in registers, so
+// each lane of Y15 carries one row's sum and adds that row's cells in
+// ascending column order.
+TEXT ·scaleColsRowSums(SB), NOSPLIT, $0-80
+	MOVQ data_base+0(FP), DI
+	MOVQ cols+24(FP), R11
+	MOVQ R11, R8
+	SHLQ $3, R8
+	ANDQ $-4, R11
+	MOVQ f_base+32(FP), DX
+	MOVQ rowSums_base+56(FP), BX
+	MOVQ rowSums_len+64(FP), CX
+	SHRQ $2, CX
+	JEQ csDone
+
+csGroup:
+	LEAQ (DI)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R12
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+	CMPQ AX, R11
+	JGE csStore
+
+csQuad:
+	VMOVUPD (DX)(AX*8), Y4
+	VMULPD (DI)(AX*8), Y4, Y0
+	VMULPD (R9)(AX*8), Y4, Y1
+	VMULPD (R10)(AX*8), Y4, Y2
+	VMULPD (R12)(AX*8), Y4, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, (R9)(AX*8)
+	VMOVUPD Y2, (R10)(AX*8)
+	VMOVUPD Y3, (R12)(AX*8)
+	VUNPCKLPD Y1, Y0, Y5
+	VUNPCKHPD Y1, Y0, Y6
+	VUNPCKLPD Y3, Y2, Y7
+	VUNPCKHPD Y3, Y2, Y8
+	VPERM2F128 $0x20, Y7, Y5, Y9
+	VPERM2F128 $0x20, Y8, Y6, Y10
+	VPERM2F128 $0x31, Y7, Y5, Y11
+	VPERM2F128 $0x31, Y8, Y6, Y12
+	VADDPD Y9, Y15, Y15
+	VADDPD Y10, Y15, Y15
+	VADDPD Y11, Y15, Y15
+	VADDPD Y12, Y15, Y15
+	ADDQ $4, AX
+	CMPQ AX, R11
+	JLT csQuad
+
+csStore:
+	VMOVUPD Y15, (BX)
+	ADDQ $32, BX
+	LEAQ (R12)(R8*1), DI
+	DECQ CX
+	JNE csGroup
+
+csDone:
+	VZEROUPPER
+	RET
+
+// func scaleRowsColSums(data []float64, cols int, f, colSums []float64)
+//
+// The row pass of a Sinkhorn round over the len(f) rows of the row-major
+// matrix data: for each row i in order and every j < cols,
+// v = data[i*cols+j]·f[i] is stored back and added to colSums[j]. Each lane
+// is one column, so every column sum adds its rows in ascending order.
+TEXT ·scaleRowsColSums(SB), NOSPLIT, $0-80
+	MOVQ data_base+0(FP), DI
+	MOVQ cols+24(FP), BX
+	MOVQ f_base+32(FP), SI
+	MOVQ f_len+40(FP), CX
+	MOVQ colSums_base+56(FP), DX
+	MOVQ BX, R10
+	ANDQ $-16, R10
+	MOVQ BX, R11
+	ANDQ $-4, R11
+	TESTQ CX, CX
+	JEQ rsDone
+
+rsRow:
+	VBROADCASTSD (SI), Y15
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE rsQuad
+
+rsBlock:
+	VMULPD (DI)(AX*8), Y15, Y0
+	VMULPD 32(DI)(AX*8), Y15, Y1
+	VMULPD 64(DI)(AX*8), Y15, Y2
+	VMULPD 96(DI)(AX*8), Y15, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	VADDPD (DX)(AX*8), Y0, Y4
+	VADDPD 32(DX)(AX*8), Y1, Y5
+	VADDPD 64(DX)(AX*8), Y2, Y6
+	VADDPD 96(DX)(AX*8), Y3, Y7
+	VMOVUPD Y4, (DX)(AX*8)
+	VMOVUPD Y5, 32(DX)(AX*8)
+	VMOVUPD Y6, 64(DX)(AX*8)
+	VMOVUPD Y7, 96(DX)(AX*8)
+	ADDQ $16, AX
+	CMPQ AX, R10
+	JLT rsBlock
+
+rsQuad:
+	CMPQ AX, R11
+	JGE rsTail
+	VMULPD (DI)(AX*8), Y15, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	VADDPD (DX)(AX*8), Y0, Y4
+	VMOVUPD Y4, (DX)(AX*8)
+	ADDQ $4, AX
+	JMP rsQuad
+
+rsTail:
+	CMPQ AX, BX
+	JGE rsNext
+	VMULSD (DI)(AX*8), X15, X0
+	VMOVSD X0, (DI)(AX*8)
+	VADDSD (DX)(AX*8), X0, X4
+	VMOVSD X4, (DX)(AX*8)
+	INCQ AX
+	JMP rsTail
+
+rsNext:
+	LEAQ (DI)(BX*8), DI
+	ADDQ $8, SI
+	DECQ CX
+	JNE rsRow
+
+rsDone:
+	VZEROUPPER
+	RET

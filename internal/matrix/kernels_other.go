@@ -18,3 +18,11 @@ func rowCombination(p []float64, w []float64, stride int, u []float64) {
 func symRank2(w []float64, stride int, u, q []float64) {
 	panic("matrix: no vector kernels on this architecture")
 }
+
+func scaleColsRowSums(data []float64, cols int, f, rowSums []float64) {
+	panic("matrix: no vector kernels on this architecture")
+}
+
+func scaleRowsColSums(data []float64, cols int, f, colSums []float64) {
+	panic("matrix: no vector kernels on this architecture")
+}

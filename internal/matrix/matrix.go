@@ -327,6 +327,50 @@ func (m *Dense) ColSumsInto(dst []float64) {
 	}
 }
 
+// CopySumsInto copies src into dst and forms src's row and column sums in
+// the same row-major sweep: the set-up of a Sinkhorn run, which would
+// otherwise copy, check, count and sum in five passes over the cells. A nil
+// dst takes fresh storage from the pool, as ClonePooled does; any other dst
+// is resized in place, reusing its capacity as Reset does but skipping the
+// zero fill. rowSums and colSums get bit for bit what RowSumsInto and
+// ColSumsInto would (each sum adds its cells in ascending order from zero),
+// and zeros counts the cells equal to zero. The sweep stops at the first
+// cell that is negative or NaN and reports nonNeg false; the content of dst
+// and of the sums is then unspecified.
+func CopySumsInto(dst, src *Dense, rowSums, colSums []float64) (out *Dense, zeros int, nonNeg bool) {
+	r, c := src.rows, src.cols
+	if len(rowSums) != r || len(colSums) != c {
+		panic(fmt.Sprintf("matrix: CopySumsInto needs sums of %d and %d, got %d and %d", r, c, len(rowSums), len(colSums)))
+	}
+	if dst == nil {
+		dst = pooledRaw(r * c)
+	} else if cap(dst.data) < r*c {
+		dst.data = make([]float64, r*c)
+	}
+	dst.data = dst.data[:r*c]
+	dst.rows, dst.cols = r, c
+	clear(colSums)
+	for i := 0; i < r; i++ {
+		in := src.data[i*c : (i+1)*c]
+		row := dst.data[i*c : (i+1)*c]
+		cs := colSums[:len(in)]
+		s := 0.0
+		for j, v := range in {
+			if !(v >= 0) {
+				return dst, zeros, false
+			}
+			if v == 0 {
+				zeros++
+			}
+			row[j] = v
+			s += v
+			cs[j] += v
+		}
+		rowSums[i] = s
+	}
+	return dst, zeros, true
+}
+
 // ScaleColsRowSums multiplies column j of m by colFactors[j] while
 // accumulating the row sums of the scaled matrix into rowSums, all in a
 // single pass over the data — the column-normalization half of a Sinkhorn
@@ -338,7 +382,11 @@ func (m *Dense) ScaleColsRowSums(colFactors, rowSums []float64) {
 	if len(rowSums) != m.rows {
 		panic(fmt.Sprintf("matrix: ScaleColsRowSums needs row buffer %d, got %d", m.rows, len(rowSums)))
 	}
-	for i := 0; i < m.rows; i++ {
+	i := 0
+	if vectorKernels {
+		i = scaleColsRowSumsVector(m.data, m.cols, colFactors, rowSums)
+	}
+	for ; i < m.rows; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		s := 0.0
 		for j, f := range colFactors {
@@ -361,8 +409,10 @@ func (m *Dense) ScaleRowsColSums(rowFactors, colSums []float64) {
 	if len(colSums) != m.cols {
 		panic(fmt.Sprintf("matrix: ScaleRowsColSums needs col buffer %d, got %d", m.cols, len(colSums)))
 	}
-	for j := range colSums {
-		colSums[j] = 0
+	clear(colSums)
+	if vectorKernels {
+		scaleRowsColSums(m.data, m.cols, rowFactors, colSums)
+		return
 	}
 	for i := 0; i < m.rows; i++ {
 		f := rowFactors[i]
@@ -657,17 +707,6 @@ func (m *Dense) NonNegative() bool {
 		}
 	}
 	return true
-}
-
-// CountZeros returns the number of exactly-zero entries.
-func (m *Dense) CountZeros() int {
-	n := 0
-	for _, v := range m.data {
-		if v == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // HasNaN reports whether any entry is NaN.

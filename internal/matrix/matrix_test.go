@@ -291,9 +291,6 @@ func TestPredicates(t *testing.T) {
 	if !pos.NonNegative() || !withZero.NonNegative() || neg.NonNegative() {
 		t.Error("NonNegative misclassified")
 	}
-	if got := withZero.CountZeros(); got != 1 {
-		t.Errorf("CountZeros = %d, want 1", got)
-	}
 	nan := FromRows([][]float64{{math.NaN()}})
 	if !nan.HasNaN() || pos.HasNaN() {
 		t.Error("HasNaN misclassified")
@@ -602,5 +599,57 @@ func TestScaleRangePanicsOnBadBounds(t *testing.T) {
 			}()
 			m.ScaleColsRowSumsRange(f, s, bad[0], bad[1], bad[2], bad[3])
 		}()
+	}
+}
+
+// CopySumsInto's sums are RowSumsInto's and ColSumsInto's bits, it counts
+// the zero cells, −0 included, and it stops at a negative or NaN cell.
+func TestCopySumsInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 2}, {33, 17}} {
+		r, c := shape[0], shape[1]
+		a := New(r, c)
+		for i := range a.data {
+			if rng.Intn(3) > 0 {
+				a.data[i] = rng.ExpFloat64() * 1e3
+			}
+		}
+		a.data[0] = math.Copysign(0, -1)
+		wantZeros := 0
+		for _, v := range a.data {
+			if v == 0 {
+				wantZeros++
+			}
+		}
+		wantR, wantC := make([]float64, r), make([]float64, c)
+		a.RowSumsInto(wantR)
+		a.ColSumsInto(wantC)
+		for _, dst := range []*Dense{nil, New(0, 0), New(r+3, c+5)} {
+			rs, cs := make([]float64, r), make([]float64, c)
+			for j := range cs {
+				cs[j] = 99 // must be overwritten, not accumulated into
+			}
+			w, zeros, ok := CopySumsInto(dst, a, rs, cs)
+			if !ok || zeros != wantZeros || !bitEqual(w, a) {
+				t.Fatalf("%dx%d: ok=%v zeros=%d (want %d), copy equal %v", r, c, ok, zeros, wantZeros, bitEqual(w, a))
+			}
+			for i := range rs {
+				if rs[i] != wantR[i] {
+					t.Fatalf("%dx%d: row sum %d = %v, want %v", r, c, i, rs[i], wantR[i])
+				}
+			}
+			for j := range cs {
+				if cs[j] != wantC[j] {
+					t.Fatalf("%dx%d: column sum %d = %v, want %v", r, c, j, cs[j], wantC[j])
+				}
+			}
+		}
+		for _, bad := range []float64{-1, math.NaN(), math.Inf(-1)} {
+			b := a.Clone()
+			b.data[len(b.data)-1] = bad
+			if _, _, ok := CopySumsInto(nil, b, make([]float64, r), make([]float64, c)); ok {
+				t.Fatalf("%dx%d: cell %v passed as nonnegative", r, c, bad)
+			}
+		}
 	}
 }

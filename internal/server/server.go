@@ -160,6 +160,11 @@ func (s *Server) BoundAddr() string {
 	return ""
 }
 
+// eigensolverFallbacks reads the process-wide tally that
+// hcserved_eigensolver_fallbacks_total exports; a variable so a test can
+// stand in a nonzero tally, which no request can trip.
+var eigensolverFallbacks = linalg.EigensolverFallbacks
+
 // New builds a Server from the config (see Config for defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -207,7 +212,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.streams.active.Load()) })
 	m.CounterFunc("hcserved_eigensolver_fallbacks_total",
 		"Spectra solved by the Jacobi SVD because the QL eigensolver tripped its iteration budget (process-wide).",
-		func() float64 { return float64(linalg.EigensolverFallbacks()) })
+		func() float64 { return float64(eigensolverFallbacks()) })
 
 	if cfg.Cluster != nil {
 		s.initCluster(*cfg.Cluster)

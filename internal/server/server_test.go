@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/linalg"
 )
 
 func quietLogger() *slog.Logger {
@@ -507,13 +505,17 @@ func TestHealthz(t *testing.T) {
 }
 
 // The eigensolver's Jacobi fallbacks are a process-wide tally kept in
-// linalg; /metrics exports it as a counter read at scrape time.
+// linalg; /metrics exports it as a counter read at scrape time. No server
+// request trips a fallback, so the test swaps in a tally that reads 7.
 func TestMetricsEigensolverFallbacks(t *testing.T) {
+	prev := eigensolverFallbacks
+	eigensolverFallbacks = func() uint64 { return 7 }
+	t.Cleanup(func() { eigensolverFallbacks = prev })
 	_, ts := testServer(t, Config{})
 	_, body := get(t, ts, "/metrics")
 	for _, want := range []string{
 		"# TYPE hcserved_eigensolver_fallbacks_total counter",
-		fmt.Sprintf("hcserved_eigensolver_fallbacks_total %d\n", linalg.EigensolverFallbacks()),
+		"hcserved_eigensolver_fallbacks_total 7\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

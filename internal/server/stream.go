@@ -64,6 +64,12 @@ type envPayload struct {
 	// reads. The JSON path still allocates its vectors (readFloatArray).
 	twBuf, mwBuf []float64
 
+	// checked marks cells that a matrix frame's decode sweep already
+	// validated as an environment; checkErr is that validation's verdict,
+	// which env reports in place of a second sweep.
+	checked  bool
+	checkErr error
+
 	// semErr is the first semantic error (value constraint, ragged row) hit
 	// during the scan. It does not stop tokenization — batch items must stay
 	// in sync — but finalize surfaces it and the payload is never used.
@@ -96,6 +102,7 @@ func (p *envPayload) reset() {
 	p.csv = ""
 	p.taskNames, p.machineNames = nil, nil
 	p.taskWeights, p.machineWeights = nil, nil
+	p.checked, p.checkErr = false, nil
 	p.semErr = nil
 	p.key = cacheKey{}
 	p.csvEnv = nil
@@ -149,30 +156,23 @@ func (p *envPayload) parseBinaryFrame(data []byte) (int, error) {
 	}
 	p.rows, p.cols = h.Rows, h.Cols
 	p.etcSet = true
-	cells := h.Cells()
-	if cap(p.cells) < cells {
-		p.cells = make([]float64, 0, cells)
+	if p.rows == 0 || p.cols == 0 {
+		return h.Size, nil // finalize reports the empty matrix
 	}
-	for k := 0; k < cells; k++ {
-		v := wire.Cell(h.Payload, k)
-		var ecs float64
-		switch {
-		case math.IsInf(v, 1):
-			ecs = 0
-		case math.IsNaN(v) || v <= 0:
-			if p.semErr == nil {
-				p.semErr = fmt.Errorf("%w: ETC(%d,%d) = %g must be positive or +Inf",
-					etcmat.ErrInvalid, k/h.Cols, k%h.Cols, v)
-			}
-			continue
-		default:
-			ecs = 1 / v
-		}
+	p.cells = growFloats(p.cells, h.Cells())
+	// One sweep checks, reciprocates and validates every cell; the
+	// environment's own check is then done (see env).
+	etcErr, ecsErr := etcmat.ECSFromETCWords(p.cells, h.Payload, p.rows, p.cols)
+	if etcErr != nil {
 		if p.semErr == nil {
-			p.hasher.WriteValue(ecs)
-			p.cells = append(p.cells, ecs)
+			p.semErr = etcErr
 		}
+		return h.Size, nil
 	}
+	p.checked, p.checkErr = true, ecsErr
+	// Reciprocals are never −0, so the finished cells already are their
+	// canonical stream.
+	p.hasher.WriteCells(p.cells)
 	return h.Size, nil
 }
 
@@ -300,11 +300,19 @@ func (p *envPayload) env() (*etcmat.Env, error) {
 	if p.csvEnv != nil {
 		return p.csvEnv, nil
 	}
+	if p.checkErr != nil {
+		return nil, p.checkErr
+	}
 	cells := matrix.FromDataPooled(p.rows, p.cols, p.cells)
-	env, err := etcmat.NewFromECSOwned(cells)
-	if err != nil {
-		matrix.Recycle(cells)
-		return nil, err
+	var env *etcmat.Env
+	if p.checked {
+		env = etcmat.NewFromCheckedECS(cells)
+	} else {
+		var err error
+		if env, err = etcmat.NewFromECSOwned(cells); err != nil {
+			matrix.Recycle(cells)
+			return nil, err
+		}
 	}
 	out, err := applyNamesWeights(env, p.taskNames, p.machineNames, p.taskWeights, p.machineWeights)
 	if err != nil {

@@ -270,6 +270,21 @@ func (w *WarmStart) omega() float64 {
 	return 2 / (1 + math.Sqrt(1-w.Sigma2*w.Sigma2))
 }
 
+// errNegative rejects an input with a negative or NaN cell.
+var errNegative = errors.New("sinkhorn: input must be nonnegative")
+
+// checkOptions validates the targets and the warm seed against a t×m input.
+func checkOptions(t, m int, opt Options) error {
+	if opt.RowTarget <= 0 || opt.ColTarget <= 0 {
+		return fmt.Errorf("sinkhorn: targets must be positive, got row %g col %g", opt.RowTarget, opt.ColTarget)
+	}
+	if total := float64(t) * opt.RowTarget; math.Abs(total-float64(m)*opt.ColTarget) > 1e-9*total {
+		return fmt.Errorf("sinkhorn: inconsistent targets: rows*RowTarget = %g but cols*ColTarget = %g",
+			total, float64(m)*opt.ColTarget)
+	}
+	return opt.Warm.valid(t, m)
+}
+
 // Balance runs alternating column/row normalization (the paper's Eq. 9) on a
 // nonnegative matrix, optionally warm-started (Options.Warm) and on a
 // reusable workspace (Options.Workspace). When ctx carries an obs.Trace the
@@ -282,15 +297,13 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 	if t == 0 || m == 0 {
 		return nil, errors.New("sinkhorn: empty matrix")
 	}
-	if !a.NonNegative() {
-		return nil, errors.New("sinkhorn: input must be nonnegative")
-	}
-	if opt.RowTarget <= 0 || opt.ColTarget <= 0 {
-		return nil, fmt.Errorf("sinkhorn: targets must be positive, got row %g col %g", opt.RowTarget, opt.ColTarget)
-	}
-	if total := float64(t) * opt.RowTarget; math.Abs(total-float64(m)*opt.ColTarget) > 1e-9*total {
-		return nil, fmt.Errorf("sinkhorn: inconsistent targets: rows*RowTarget = %g but cols*ColTarget = %g",
-			total, float64(m)*opt.ColTarget)
+	if err := checkOptions(t, m, opt); err != nil {
+		// A negative input outranks a bad option; the set-up sweep below
+		// finds it only once the options are known good.
+		if !a.NonNegative() {
+			return nil, errNegative
+		}
+		return nil, err
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -301,30 +314,31 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 		maxIter = 10000
 	}
 	warm, ws := opt.Warm, opt.Workspace
-	if err := warm.valid(t, m); err != nil {
-		return nil, err
+	fresh := ws == nil
+	if fresh {
+		ws = &Workspace{}
 	}
-
-	var w *matrix.Dense
-	if ws == nil {
-		// Fresh storage the caller alone holds. The working matrix becomes
-		// Result.Scaled, which etcmat.Env.ReleaseBuffers hands back to the
-		// matrix pool, so take it from there.
-		w = matrix.ClonePooled(a)
-		ws = &Workspace{w: w}
-	} else {
-		w = ws.w.Reset(t, m)
-		copy(w.RawData(), a.RawData())
-	}
-	d1 := fillOnes(growVec(&ws.d1, t))
-	d2 := fillOnes(growVec(&ws.d2, m))
 	cs := growVec(&ws.cs, m)
 	rs := growVec(&ws.rs, t)
+	// One sweep copies the input, checks it, counts its zeros and forms
+	// both sums. Fresh storage comes from the matrix pool: the working
+	// matrix becomes Result.Scaled, which etcmat.Env.ReleaseBuffers hands
+	// back to it.
+	w, zeros, nonNeg := matrix.CopySumsInto(ws.w, a, rs, cs)
+	if !nonNeg {
+		if fresh {
+			matrix.Recycle(w)
+		}
+		return nil, errNegative
+	}
+	ws.w = w
+	d1 := fillOnes(growVec(&ws.d1, t))
+	d2 := fillOnes(growVec(&ws.d2, m))
 	ws.res = Result{}
 	res := &ws.res
 
 	trimmed := 0
-	if opt.TrimUnsupported && w.CountZeros() > 0 {
+	if opt.TrimUnsupported && zeros > 0 {
 		var err error
 		trimmed, err = trimUnsupported(w)
 		if err != nil {
@@ -345,9 +359,13 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 	// The iteration keeps the current column and row sums in two reused
 	// buffers: each half-step is a single fused pass (scale + reduce, see
 	// matrix.ScaleColsRowSums / ScaleRowsColSums) instead of separate
-	// sum, scale and deviation sweeps over the matrix.
-	w.ColSumsInto(cs)
-	w.RowSumsInto(rs)
+	// sum, scale and deviation sweeps over the matrix. The set-up sweep
+	// formed them from the input; a trim or a warm seed changed the cells
+	// since, so the sums are taken again.
+	if trimmed > 0 || warm != nil {
+		w.ColSumsInto(cs)
+		w.RowSumsInto(rs)
+	}
 
 	// Reject structurally impossible inputs up front.
 	for i, s := range rs {
@@ -379,10 +397,6 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 	omega := warm.omega()
 	bestDev := math.Inf(1)
 	stall := 0
-	// Fleet-sized matrices run the cache-oblivious tiled passes instead of
-	// the whole-row fused kernels — bit-identical results, better locality
-	// once a row's working set outgrows the cache hierarchy (see tiling.go).
-	tiled := t*m >= tiledBalanceMin
 	for it := 1; it <= maxIter; it++ {
 		// Column normalization (Eq. 9, odd steps): cs holds the column sums,
 		// which become the scaling factors; the fused pass leaves the new row
@@ -400,11 +414,7 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 				cs[j] = f
 			}
 		}
-		if tiled {
-			ScaleColsRowSumsTiled(w, cs, rs)
-		} else {
-			w.ScaleColsRowSums(cs, rs)
-		}
+		w.ScaleColsRowSums(cs, rs)
 		// Row normalization (Eq. 9, even steps); the fused pass leaves the
 		// new column sums in cs.
 		rowDev := 0.0
@@ -424,11 +434,7 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 				rs[i] = f
 			}
 		}
-		if tiled {
-			ScaleRowsColSumsTiled(w, rs, cs)
-		} else {
-			w.ScaleRowsColSums(rs, cs)
-		}
+		w.ScaleRowsColSums(rs, cs)
 
 		res.Iterations = it
 		// With ω == 1 every row sums to RowTarget up to roundoff after the

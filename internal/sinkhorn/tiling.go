@@ -13,10 +13,10 @@ import (
 //   - the Appendix A square-tiling construction (BalanceViaTiling), kept as
 //     an independent cross-check of the direct rectangular iteration, and
 //   - the cache-oblivious tiled balance passes (ScaleColsRowSumsTiled /
-//     ScaleRowsColSumsTiled) that Balance switches to for fleet-sized
-//     matrices, where a whole row no longer fits the cache hierarchy
-//     comfortably and the factor/sum vectors alone run to hundreds of
-//     kilobytes.
+//     ScaleRowsColSumsTiled), kept as a measured alternative to the
+//     whole-row passes. Balance no longer uses them: they lost to the
+//     whole-row passes at every size measured, and the AVX2 whole-row
+//     passes widened the gap (DESIGN.md §14).
 //
 // The tiled passes recurse on the larger dimension until a tile is at most
 // balanceTileCells cells (≈¼ MiB — L2-sized), then run the fused
@@ -24,21 +24,13 @@ import (
 // recursion visits row ranges top-to-bottom and column ranges left-to-right,
 // every row sum accumulates in increasing column order and every column sum
 // in increasing row order — the exact addition sequences of the whole-row
-// kernels — so a tiled pass is bit-identical to an untiled one and the
-// switchover threshold cannot change any balanced matrix (see DESIGN.md §14).
+// kernels — so a tiled pass is bit-identical to an untiled one.
 
 // balanceTileCells bounds a leaf tile of the cache-oblivious recursion:
 // 32 Ki cells = 256 KiB of float64, sized to a typical L2, so the leaf's
 // rows, its factor slice segment and its sum slice segment stay resident
 // while the kernel streams the tile.
 const balanceTileCells = 32 * 1024
-
-// tiledBalanceMin is the matrix size (in cells) at which Balance
-// switches its fused passes to the tiled walk. 2 Mi cells is 16 MiB — past
-// any L2 and into last-level-cache territory, where the tiled walk starts
-// paying for its recursion. Below it the plain row-streaming passes are
-// already cache-resident. Identical results either way.
-const tiledBalanceMin = 2 << 20
 
 // ScaleColsRowSumsTiled is matrix.ScaleColsRowSums as a cache-oblivious
 // tiled walk: scale every column j of w by colFactors[j] and leave the row

@@ -2,6 +2,7 @@ package sinkhorn
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,5 +73,58 @@ func TestBalanceWSZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Balance allocates %g times per op, want 0", allocs)
+	}
+}
+
+// A warm-seeded run on a workspace allocates nothing either, once the
+// buffers are warm.
+func TestBalanceWSWarmZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	a := randPositive(rng, 16, 8)
+	rt, ct := StandardTargets(a.Dims())
+	cold, err := Standardize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := &WarmStart{D1: matrix.VecClone(cold.D1), D2: matrix.VecClone(cold.D2), Sigma2: 0.5}
+	for i := range warm.D1 {
+		warm.D1[i] *= 1.01
+	}
+	opt := Options{RowTarget: rt, ColTarget: ct, TrimUnsupported: true, Warm: warm, Workspace: NewWorkspace()}
+	if _, err := Balance(context.Background(), a, opt); err != nil { // warm the buffers
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Balance(context.Background(), a, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm-seeded Balance allocates %g times per op, want 0", allocs)
+	}
+}
+
+// A negative or NaN cell outranks a bad option, as it did when the input
+// was checked first; on valid options the one set-up sweep reports it.
+func TestBalanceErrorPrecedence(t *testing.T) {
+	neg := matrix.FromRows([][]float64{{1, 2}, {3, -4}})
+	nan := matrix.FromRows([][]float64{{1, math.NaN()}, {3, 4}})
+	rt, ct := StandardTargets(2, 2)
+	for _, tc := range []struct {
+		name string
+		a    *matrix.Dense
+		opt  Options
+		want string
+	}{
+		{"negative, bad targets", neg, Options{RowTarget: -1, ColTarget: ct}, "sinkhorn: input must be nonnegative"},
+		{"NaN, bad seed", nan, Options{RowTarget: rt, ColTarget: ct, Warm: &WarmStart{D1: []float64{1}}}, "sinkhorn: input must be nonnegative"},
+		{"negative, fresh", neg, Options{RowTarget: rt, ColTarget: ct}, "sinkhorn: input must be nonnegative"},
+		{"NaN, workspace", nan, Options{RowTarget: rt, ColTarget: ct, Workspace: NewWorkspace()}, "sinkhorn: input must be nonnegative"},
+		{"bad targets", matrix.FromRows([][]float64{{1, 2}, {3, 4}}), Options{RowTarget: 1, ColTarget: 2}, "sinkhorn: inconsistent targets: rows*RowTarget = 2 but cols*ColTarget = 4"},
+	} {
+		_, err := Balance(context.Background(), tc.a, tc.opt)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
