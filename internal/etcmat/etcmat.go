@@ -341,8 +341,9 @@ func (e *Env) weightedECS() *matrix.Dense {
 			w.ScaleCols(e.machineWeights)
 		}
 		mm.weighted = w
-		mm.weightedRowSums = w.RowSums()
-		mm.weightedColSums = w.ColSums()
+		mm.weightedRowSums = make([]float64, w.Rows())
+		mm.weightedColSums = make([]float64, w.Cols())
+		w.SumsInto(mm.weightedRowSums, mm.weightedColSums)
 	}
 	return mm.weighted
 }

@@ -38,13 +38,15 @@ import (
 const macheps = 2.220446049250313e-16
 
 // Workspace carries the scratch state of the values-only spectral pipeline —
-// the Gram matrix, the Gram kernel's panel transpose and the tridiagonal
-// diagonals — so sweeps that evaluate thousands of spectra reuse one
-// allocation set. A Workspace is not safe for concurrent use; use one per
-// goroutine (GetWorkspace/PutWorkspace pool them across trials).
+// the Gram matrix, the Gram kernel's panel transpose, the tridiagonal
+// diagonals and the Householder vectors — so sweeps that evaluate thousands
+// of spectra reuse one allocation set. A Workspace is not safe for
+// concurrent use; use one per goroutine (GetWorkspace/PutWorkspace pool them
+// across trials).
 type Workspace struct {
 	gram, panel *matrix.Dense
 	d, e        []float64
+	q, p        []float64 // tridiagonalize's pending q and next p
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -59,13 +61,16 @@ func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 // use ws afterwards.
 func PutWorkspace(ws *Workspace) { workspacePool.Put(ws) }
 
-// vecs returns the workspace's diagonal and off-diagonal buffers at length n.
-func (ws *Workspace) vecs(n int) (d, e []float64) {
+// vecs returns the workspace's diagonal and off-diagonal buffers and
+// tridiagonalize's two scratch vectors, all at length n.
+func (ws *Workspace) vecs(n int) (d, e, q, p []float64) {
 	if cap(ws.d) < n {
 		ws.d = make([]float64, n)
 		ws.e = make([]float64, n)
+		ws.q = make([]float64, n)
+		ws.p = make([]float64, n)
 	}
-	return ws.d[:n], ws.e[:n]
+	return ws.d[:n], ws.e[:n], ws.q[:n], ws.p[:n]
 }
 
 // SingularValues returns the singular values of a in descending order via the
@@ -116,8 +121,8 @@ func appendSingularValues(tr *obs.Trace, dst []float64, a *matrix.Dense, ws *Wor
 	g := matrix.GramIntoPanel(ws.gram.Reset(k, k), a, ws.panel)
 	sp.End()
 	sp = tr.StartSpan("eigensolve")
-	d, e := ws.vecs(k)
-	tridiagonalize(g, d, e)
+	d, e, q, p := ws.vecs(k)
+	tridiagonalize(g, d, e, q, p)
 	if !tqlRootFree(d, e) {
 		// The QL budget essentially never trips; fall back to the Jacobi SVD
 		// oracle rather than return a partial spectrum.
@@ -167,57 +172,73 @@ func sortDescending(x []float64) {
 // form by Householder reflections, writing the diagonal to d and the
 // subdiagonal to e[1:] (e[0] = 0). This is the classic tred2 reduction with
 // the eigenvector accumulation removed — the QL stage only needs values.
-// g must be fully symmetric: the two O(l²) loops of each step run in
-// matrix.SymMulVec and matrix.SymRank2Update, which read full rows on the
-// AVX2 path and the lower triangle otherwise, and give the bits of the
-// column-walk tred2 either way (see DESIGN.md §9).
-func tridiagonalize(g *matrix.Dense, d, e []float64) {
+// Only g's lower triangle is read. Each step's rank-2 update is left
+// pending: the next step first brings its own row up to date, then
+// matrix.SymRank2MulVec applies the update to the rows above while it forms
+// that step's p = G·u in the same pass. d and e get the bits of the
+// column-walk tred2 (see DESIGN.md §9). q and p are scratch of g's order.
+func tridiagonalize(g *matrix.Dense, d, e, q, p []float64) {
 	n := g.Rows()
 	w := g.RawData()
+	// The pending update G −= u·qᵀ + q·uᵀ of the step before; it starts as
+	// zero vectors, which leave G exact: w − (0·0 + 0·0) == w.
+	clear(q)
+	pu, pq := q, q
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		// Bring row i (diagonal included) up to date.
+		row := w[i*n : i*n+i+1]
+		ui, qi := pu[i], pq[i]
+		for k := range row {
+			row[k] -= ui*pq[k] + qi*pu[k]
+		}
+		row = row[:i]
 		h, scale := 0.0, 0.0
 		if l > 0 {
-			for _, v := range w[i*n : i*n+l+1] {
+			for _, v := range row {
 				scale += math.Abs(v)
 			}
-			if scale == 0 {
-				e[i] = w[i*n+l]
-			} else {
-				row := w[i*n : i*n+l+1]
-				inv := 1 / scale
-				for k, v := range row {
-					v *= inv
-					row[k] = v
-					h += v * v
-				}
-				f := row[l]
-				g := math.Sqrt(h)
-				if f >= 0 {
-					g = -g
-				}
-				e[i] = scale * g
-				h -= f * g
-				row[l] = f - g
-				// Form p = G·u in e[0..l] (e doubles as scratch for indices
-				// below i; each slot is rewritten before the outer loop reads
-				// it as a subdiagonal), then q = p/h − (uᵀp/2h)·u, then the
-				// rank-2 update G −= u·qᵀ + q·uᵀ.
-				matrix.SymMulVec(e[:l+1], w, n, row)
-				f = 0.0
-				for j := 0; j <= l; j++ {
-					e[j] /= h
-					f += e[j] * row[j]
-				}
-				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					e[j] -= hh * row[j]
-				}
-				matrix.SymRank2Update(w, n, row, e[:l+1])
-			}
-		} else {
-			e[i] = w[i*n+l]
 		}
+		if scale == 0 {
+			// No reflection (row i is zero, or l == 0): apply the pending
+			// update to rows 0..l, discard the product, and leave nothing
+			// pending.
+			e[i] = row[l]
+			matrix.SymRank2MulVec(w, n, pu[:i], pq[:i], row, p[:i])
+			clear(p[:i])
+			pu, pq = p, p
+			p, q = q, p
+			continue
+		}
+		inv := 1 / scale
+		for k, v := range row {
+			v *= inv
+			row[k] = v
+			h += v * v
+		}
+		f := row[l]
+		g := math.Sqrt(h)
+		if f >= 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		row[l] = f - g
+		// Apply the pending update and form p = G·u, then
+		// q = p/h − (uᵀp/2h)·u, which becomes the pending update with u.
+		pi := p[:i]
+		matrix.SymRank2MulVec(w, n, pu[:i], pq[:i], row, pi)
+		f = 0.0
+		for j := range pi {
+			pi[j] /= h
+			f += pi[j] * row[j]
+		}
+		hh := f / (h + h)
+		for j := range pi {
+			pi[j] -= hh * row[j]
+		}
+		pu, pq = row, pi
+		p, q = q, p
 	}
 	e[0] = 0
 	for i := 0; i < n; i++ {

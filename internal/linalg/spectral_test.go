@@ -319,7 +319,7 @@ func tridiagMatches(g *matrix.Dense) bool {
 	n := g.Rows()
 	d, e := make([]float64, n), make([]float64, n)
 	dWant, eWant := make([]float64, n), make([]float64, n)
-	tridiagonalize(g.Clone(), d, e)
+	tridiagonalize(g.Clone(), d, e, make([]float64, n), make([]float64, n))
 	tred2ColumnWalk(g.Clone(), dWant, eWant)
 	return floatsBitEqual(d, dWant) && floatsBitEqual(e, eWant)
 }
@@ -349,24 +349,30 @@ func TestTridiagonalizeBitIdenticalToColumnWalk(t *testing.T) {
 
 func testTridiagonalizeBitIdenticalToColumnWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	for _, n := range []int{1, 2, 3, 5, 64, 250} {
+	// Sizes on and off the 4-row groups of the vector kernel: above 8, every
+	// n mod 4 occurs.
+	for _, n := range []int{1, 2, 3, 5, 9, 10, 11, 12, 64, 67, 250} {
 		a := randMat(rng, n+7, n)
 		if !tridiagMatches(matrix.AtAInto(matrix.New(n, n), a)) {
 			t.Errorf("n=%d: tridiagonalize differs from the column walk", n)
 		}
 	}
-	g := matrix.New(6, 6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j <= i; j++ {
-			if i != 3 && j != 3 {
-				v := rng.NormFloat64()
-				g.Set(i, j, v)
-				g.Set(j, i, v)
+	// A zero row and column take the scale == 0 branch; at n = 37 and 130 the
+	// update pending from the step before crosses it on the vector block path.
+	for _, c := range []struct{ n, zero int }{{6, 3}, {37, 17}, {130, 17}} {
+		g := matrix.New(c.n, c.n)
+		for i := 0; i < c.n; i++ {
+			for j := 0; j <= i; j++ {
+				if i != c.zero && j != c.zero {
+					v := rng.NormFloat64()
+					g.Set(i, j, v)
+					g.Set(j, i, v)
+				}
 			}
 		}
-	}
-	if !tridiagMatches(g) {
-		t.Error("zero row: tridiagonalize differs from the column walk")
+		if !tridiagMatches(g) {
+			t.Errorf("n=%d, zero row %d: tridiagonalize differs from the column walk", c.n, c.zero)
+		}
 	}
 }
 
@@ -446,7 +452,7 @@ func FuzzSpectralKernels(f *testing.F) {
 			restore := matrix.UseVectorKernels(vector)
 			g := matrix.GramInto(matrix.New(k, k), a)
 			ds[path], es[path] = make([]float64, k), make([]float64, k)
-			tridiagonalize(g.Clone(), ds[path], es[path])
+			tridiagonalize(g.Clone(), ds[path], es[path], make([]float64, k), make([]float64, k))
 			restore()
 			if !floatsBitEqual(g.RawData(), want.RawData()) {
 				t.Fatalf("%dx%d vector=%v: GramInto differs from the dot-product oracle", r, c, vector)

@@ -7,7 +7,7 @@ import "fmt"
 // internal/linalg — and the two fused passes of a Sinkhorn round
 // (ScaleColsRowSums, ScaleRowsColSums) to AVX2 kernels where the CPU has them
 // (amd64 only; see kernels_amd64.s), and holds the scalar Householder
-// kernels that run everywhere else. The choice is made once, at package
+// kernel that runs everywhere else. The choice is made once, at package
 // init, from CPUID.
 //
 // The vector kernels are bit-identical to the scalar loops: each vector lane
@@ -17,7 +17,7 @@ import "fmt"
 // math.FMA, and the kernels use no FMA instruction). See DESIGN.md §9.
 
 // vectorKernels is true when the AVX2 kernels serve AᵀA, the Householder
-// passes and the Sinkhorn passes.
+// pass and the Sinkhorn passes.
 var vectorKernels = cpuHasAVX2()
 
 // VectorKernels reports whether the AVX2 kernels are in use.
@@ -114,64 +114,46 @@ func scaleColsRowSumsVector(data []float64, cols int, f, rowSums []float64) int 
 	return rows
 }
 
-// SymMulVec sets p = G·u, where G is the leading n×n block (n = len(u) =
-// len(p)) of the symmetric row-major matrix w with row stride stride. Each
-// p[j] sums its terms u[k]·G[j][k] in ascending k: the product of the
-// Householder pass, summed in the order of a walk down column j. The scalar
-// kernel reads only G's lower triangle; the vector kernel forms p as
-// ascending axpys over full rows (G[k][j] stands in for G[j][k]), so w must
-// be fully symmetric there, which SymRank2Update keeps.
-func SymMulVec(p, w []float64, stride int, u []float64) {
-	checkBlock("SymMulVec", w, stride, len(u), len(p))
-	if vectorKernels {
-		clear(p)
-		rowCombination(p, w, stride, u)
-		return
-	}
-	// One pass down the rows of the lower triangle: row j's dot with u
-	// gives the leading terms of p[j], and its entries add w[j][k]·u[j] to
-	// every p[k], k < j. So p[j] sums its row terms and then its column
-	// terms in ascending order, exactly as a walk down column j would.
-	for j, uj := range u {
-		wj := w[j*stride : j*stride+j]
-		pk, uk := p[:len(wj)], u[:len(wj)]
-		s := 0.0
-		for k, v := range wj {
-			s += v * uk[k]
-			pk[k] += v * uj
-		}
-		p[j] = s + w[j*stride+j]*uj
-	}
-}
-
-// SymRank2Update applies G[j][k] -= u[j]·q[k] + q[j]·u[k] to the leading
-// n×n block G (n = len(u) = len(q)) of the row-major matrix w with row
-// stride stride: the Householder rank-2 update. The scalar kernel updates
-// the lower triangle only, the vector kernel full rows; either way the
-// entries SymMulVec reads next stay exact.
-func SymRank2Update(w []float64, stride int, u, q []float64) {
-	checkBlock("SymRank2Update", w, stride, len(u), len(q))
-	if vectorKernels {
-		symRank2(w, stride, u, q)
-		return
-	}
-	for j, uj := range u {
-		wj := w[j*stride : j*stride+j+1]
-		qk, uk := q[:len(wj)], u[:len(wj)]
-		qj := q[j]
-		for k := range wj {
-			wj[k] -= uj*qk[k] + qj*uk[k]
-		}
-	}
-}
-
-// checkBlock panics unless the two vectors have the same length n and w
-// holds an n×n block at the given stride.
-func checkBlock(op string, w []float64, stride, n, n2 int) {
-	if n2 != n {
-		panic(fmt.Sprintf("matrix: %s needs vectors of one length, got %d and %d", op, n, n2))
+// SymRank2MulVec is one Householder step of the tridiagonalization on the
+// lower triangle of the leading n×n block G (n = len(v)) of the row-major
+// matrix w with row stride stride. It applies the previous step's pending
+// rank-2 update, G[j][k] -= u[j]·q[k] + q[j]·u[k] for k ≤ j, and in the same
+// pass over each updated row forms p = G'·v on the updated block. Each p[j]
+// sums its terms in the order of a walk along row j and then down column j:
+// from +0, the row terms G'[j][k]·v[k] in ascending k up to the diagonal,
+// then the column terms G'[k][j]·v[k] in ascending k. Only the lower
+// triangle is read or written. Zero u and q leave G exact, since
+// w − (0·0 + 0·0) == w.
+func SymRank2MulVec(w []float64, stride int, u, q, v, p []float64) {
+	n := len(v)
+	if len(u) != n || len(q) != n || len(p) != n {
+		panic(fmt.Sprintf("matrix: SymRank2MulVec needs vectors of one length, got %d, %d, %d and %d", len(u), len(q), len(v), len(p)))
 	}
 	if n > 0 && (n > stride || (n-1)*stride+n > len(w)) {
-		panic(fmt.Sprintf("matrix: %s: %d rows of %d at stride %d overrun %d values", op, n, n, stride, len(w)))
+		panic(fmt.Sprintf("matrix: SymRank2MulVec: %d rows of %d at stride %d overrun %d values", n, n, stride, len(w)))
+	}
+	j := 0
+	if vectorKernels {
+		j = n &^ 3
+		symRank2MulVec(w, stride, u, q, v, p[:j])
+	}
+	// One row at a time: the update of row j's entries, each added to p[j]'s
+	// row terms and, times v[j], to the column terms of p[k], k < j. Rows
+	// run in ascending order, so every p[k] first gets its own row terms
+	// and then its column terms in ascending order.
+	for ; j < n; j++ {
+		row := w[j*stride : j*stride+j+1]
+		uj, qj, vj := u[j], q[j], v[j]
+		uk, qk, vk, pk := u[:j], q[:j], v[:j], p[:j]
+		s := 0.0
+		for k := range pk {
+			x := row[k] - (uj*qk[k] + qj*uk[k])
+			row[k] = x
+			s += x * vk[k]
+			pk[k] += x * vj
+		}
+		x := row[j] - (uj*qj + qj*uj)
+		row[j] = x
+		p[j] = s + x*vj
 	}
 }

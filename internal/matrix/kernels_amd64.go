@@ -28,10 +28,7 @@ func xgetbv() (eax uint32)
 func gramTile4x8(d *float64, ldd int, xj, xk *float64, stride, rows int)
 
 //go:noescape
-func rowCombination(p []float64, w []float64, stride int, u []float64)
-
-//go:noescape
-func symRank2(w []float64, stride int, u, q []float64)
+func symRank2MulVec(w []float64, stride int, u, q, v, p []float64)
 
 //go:noescape
 func scaleColsRowSums(data []float64, cols int, f, rowSums []float64)

@@ -1,9 +1,9 @@
 #include "textflag.h"
 
-// AVX2 kernels for the Gram product and the Householder passes (see
-// kernels.go). Every vector lane is one output element, and each element
-// goes through a separately rounded VMULPD and VADDPD/VSUBPD in the order of
-// the scalar Go loops; no kernel fuses a multiply and an add.
+// AVX2 kernels for the Gram product, the Householder pass and the Sinkhorn
+// passes (see kernels.go). Every vector lane is one output element, and each
+// element goes through a separately rounded VMULPD and VADDPD/VSUBPD in the
+// order of the scalar Go loops; no kernel fuses a multiply and an add.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -90,153 +90,162 @@ tileStore:
 	VZEROUPPER
 	RET
 
-// func rowCombination(p []float64, w []float64, stride int, u []float64)
+// func symRank2MulVec(w []float64, stride int, u, q, v, p []float64)
 //
-// For k = 0..len(u)-1 in order: p[j] += u[k]·w[k*stride+j], j < len(p).
-TEXT ·rowCombination(SB), NOSPLIT, $0-80
-	MOVQ p_base+0(FP), DI
-	MOVQ p_len+8(FP), BX
-	MOVQ w_base+24(FP), SI
-	MOVQ stride+48(FP), R9
-	SHLQ $3, R9
-	MOVQ u_base+56(FP), DX
-	MOVQ u_len+64(FP), CX
-	MOVQ BX, R10
-	ANDQ $-16, R10
-	MOVQ BX, R11
-	ANDQ $-4, R11
-	TESTQ CX, CX
-	JEQ rcDone
-
-rcRow:
-	VBROADCASTSD (DX), Y15
-	XORQ AX, AX
-	CMPQ AX, R10
-	JGE rcQuad
-
-rcBlock:
-	VMULPD (SI)(AX*8), Y15, Y0
-	VMULPD 32(SI)(AX*8), Y15, Y1
-	VMULPD 64(SI)(AX*8), Y15, Y2
-	VMULPD 96(SI)(AX*8), Y15, Y3
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMOVUPD 64(DI)(AX*8), Y6
-	VMOVUPD 96(DI)(AX*8), Y7
-	VADDPD Y0, Y4, Y4
-	VADDPD Y1, Y5, Y5
-	VADDPD Y2, Y6, Y6
-	VADDPD Y3, Y7, Y7
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	VMOVUPD Y6, 64(DI)(AX*8)
-	VMOVUPD Y7, 96(DI)(AX*8)
-	ADDQ $16, AX
-	CMPQ AX, R10
-	JLT rcBlock
-
-rcQuad:
-	CMPQ AX, R11
-	JGE rcTail
-	VMULPD (SI)(AX*8), Y15, Y0
-	VMOVUPD (DI)(AX*8), Y4
-	VADDPD Y0, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP rcQuad
-
-rcTail:
-	CMPQ AX, BX
-	JGE rcNext
-	VMULSD (SI)(AX*8), X15, X0
-	VMOVSD (DI)(AX*8), X4
-	VADDSD X0, X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP rcTail
-
-rcNext:
-	ADDQ R9, SI
-	ADDQ $8, DX
-	DECQ CX
-	JNE rcRow
-
-rcDone:
-	VZEROUPPER
-	RET
-
-// func symRank2(w []float64, stride int, u, q []float64)
-//
-// For j, k < len(u): w[j*stride+k] -= u[j]·q[k] + q[j]·u[k].
-TEXT ·symRank2(SB), NOSPLIT, $0-80
+// The vector part of SymRank2MulVec over rows 0..len(p)-1 of w (len(p) a
+// multiple of 4), four rows at a time. For each row j: w[j][k] -= u[j]·q[k] +
+// q[j]·u[k] for k ≤ j; p[j] = (row terms w[j][k]·v[k], k < j, from +0) +
+// w[j][j]·v[j]; and w[j][k]·v[j] is added to p[k] for every k < j. Below the
+// diagonal block of a group, each lane of Y0–Y3 is one column: the column
+// terms of p add the group's four rows in order, and a 4×4 in-register
+// transpose of the row-term products lets each lane of Y8 carry one row's
+// sum in ascending column order. The 4×4 diagonal block then runs scalar
+// ops in the order of the Go loop, each row's sum continuing from its lane.
+TEXT ·symRank2MulVec(SB), NOSPLIT, $0-128
 	MOVQ w_base+0(FP), DI
 	MOVQ stride+24(FP), R9
 	SHLQ $3, R9
 	MOVQ u_base+32(FP), SI
-	MOVQ u_len+40(FP), BX
 	MOVQ q_base+56(FP), DX
-	MOVQ BX, R10
-	ANDQ $-8, R10
-	MOVQ BX, R11
-	ANDQ $-4, R11
-	XORQ R8, R8
-	TESTQ BX, BX
-	JEQ r2Done
+	MOVQ v_base+80(FP), R8
+	MOVQ p_base+104(FP), BX
+	MOVQ p_len+112(FP), R13
+	XORQ CX, CX
+	TESTQ R13, R13
+	JEQ fuDone
 
-r2Row:
-	VBROADCASTSD (SI)(R8*8), Y14
-	VBROADCASTSD (DX)(R8*8), Y15
+fuGroup:
+	LEAQ (DI)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	VBROADCASTSD (R8)(CX*8), Y9
+	VBROADCASTSD 8(R8)(CX*8), Y10
+	VBROADCASTSD 16(R8)(CX*8), Y11
+	VBROADCASTSD 24(R8)(CX*8), Y12
+	VXORPD Y8, Y8, Y8
 	XORQ AX, AX
-	CMPQ AX, R10
-	JGE r2Quad
+	TESTQ CX, CX
+	JEQ fuDiag
 
-r2Block:
-	VMULPD (DX)(AX*8), Y14, Y0
-	VMULPD 32(DX)(AX*8), Y14, Y1
-	VMULPD (SI)(AX*8), Y15, Y2
-	VMULPD 32(SI)(AX*8), Y15, Y3
-	VADDPD Y2, Y0, Y0
-	VADDPD Y3, Y1, Y1
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VSUBPD Y0, Y4, Y4
-	VSUBPD Y1, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, R10
-	JLT r2Block
-
-r2Quad:
-	CMPQ AX, R11
-	JGE r2Tail
-	VMULPD (DX)(AX*8), Y14, Y0
-	VMULPD (SI)(AX*8), Y15, Y2
-	VADDPD Y2, Y0, Y0
-	VMOVUPD (DI)(AX*8), Y4
-	VSUBPD Y0, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
+fuQuad:
+	VMOVUPD (DX)(AX*8), Y4
+	VMOVUPD (SI)(AX*8), Y5
+	VMOVUPD (R8)(AX*8), Y6
+	VMOVUPD (BX)(AX*8), Y7
+	VBROADCASTSD (SI)(CX*8), Y13
+	VMULPD Y4, Y13, Y13
+	VBROADCASTSD (DX)(CX*8), Y14
+	VMULPD Y5, Y14, Y14
+	VADDPD Y14, Y13, Y13
+	VMOVUPD (DI)(AX*8), Y0
+	VSUBPD Y13, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	VMULPD Y9, Y0, Y13
+	VADDPD Y13, Y7, Y7
+	VMULPD Y6, Y0, Y0
+	VBROADCASTSD 8(SI)(CX*8), Y13
+	VMULPD Y4, Y13, Y13
+	VBROADCASTSD 8(DX)(CX*8), Y14
+	VMULPD Y5, Y14, Y14
+	VADDPD Y14, Y13, Y13
+	VMOVUPD (R10)(AX*8), Y1
+	VSUBPD Y13, Y1, Y1
+	VMOVUPD Y1, (R10)(AX*8)
+	VMULPD Y10, Y1, Y13
+	VADDPD Y13, Y7, Y7
+	VMULPD Y6, Y1, Y1
+	VBROADCASTSD 16(SI)(CX*8), Y13
+	VMULPD Y4, Y13, Y13
+	VBROADCASTSD 16(DX)(CX*8), Y14
+	VMULPD Y5, Y14, Y14
+	VADDPD Y14, Y13, Y13
+	VMOVUPD (R11)(AX*8), Y2
+	VSUBPD Y13, Y2, Y2
+	VMOVUPD Y2, (R11)(AX*8)
+	VMULPD Y11, Y2, Y13
+	VADDPD Y13, Y7, Y7
+	VMULPD Y6, Y2, Y2
+	VBROADCASTSD 24(SI)(CX*8), Y13
+	VMULPD Y4, Y13, Y13
+	VBROADCASTSD 24(DX)(CX*8), Y14
+	VMULPD Y5, Y14, Y14
+	VADDPD Y14, Y13, Y13
+	VMOVUPD (R12)(AX*8), Y3
+	VSUBPD Y13, Y3, Y3
+	VMOVUPD Y3, (R12)(AX*8)
+	VMULPD Y12, Y3, Y13
+	VADDPD Y13, Y7, Y7
+	VMULPD Y6, Y3, Y3
+	VMOVUPD Y7, (BX)(AX*8)
+	VUNPCKLPD Y1, Y0, Y13
+	VUNPCKHPD Y1, Y0, Y0
+	VUNPCKLPD Y3, Y2, Y14
+	VUNPCKHPD Y3, Y2, Y2
+	VPERM2F128 $0x20, Y14, Y13, Y1
+	VADDPD Y1, Y8, Y8
+	VPERM2F128 $0x20, Y2, Y0, Y3
+	VADDPD Y3, Y8, Y8
+	VPERM2F128 $0x31, Y14, Y13, Y1
+	VADDPD Y1, Y8, Y8
+	VPERM2F128 $0x31, Y2, Y0, Y3
+	VADDPD Y3, Y8, Y8
 	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT fuQuad
 
-r2Tail:
-	CMPQ AX, BX
-	JGE r2Next
-	VMULSD (DX)(AX*8), X14, X0
-	VMULSD (SI)(AX*8), X15, X2
-	VADDSD X2, X0, X0
-	VMOVSD (DI)(AX*8), X4
-	VSUBSD X0, X4, X4
-	VMOVSD X4, (DI)(AX*8)
+fuDiag:
+	VMOVUPD Y8, (BX)(CX*8)
+	MOVQ DI, R10
+	MOVQ CX, R11
+	LEAQ 4(CX), R12
+
+fuDiagRow:
+	VMOVSD (SI)(R11*8), X9
+	VMOVSD (DX)(R11*8), X10
+	VMOVSD (R8)(R11*8), X11
+	VMOVSD (BX)(R11*8), X8
+	MOVQ CX, AX
+	CMPQ AX, R11
+	JGE fuPivot
+
+fuDiagCol:
+	VMULSD (DX)(AX*8), X9, X13
+	VMULSD (SI)(AX*8), X10, X14
+	VADDSD X14, X13, X13
+	VMOVSD (R10)(AX*8), X0
+	VSUBSD X13, X0, X0
+	VMOVSD X0, (R10)(AX*8)
+	VMULSD (R8)(AX*8), X0, X13
+	VADDSD X13, X8, X8
+	VMULSD X11, X0, X13
+	VMOVSD (BX)(AX*8), X14
+	VADDSD X13, X14, X14
+	VMOVSD X14, (BX)(AX*8)
 	INCQ AX
-	JMP r2Tail
+	CMPQ AX, R11
+	JLT fuDiagCol
 
-r2Next:
-	ADDQ R9, DI
-	INCQ R8
-	CMPQ R8, BX
-	JLT r2Row
+fuPivot:
+	VMULSD X10, X9, X13
+	VMULSD X9, X10, X14
+	VADDSD X14, X13, X13
+	VMOVSD (R10)(R11*8), X0
+	VSUBSD X13, X0, X0
+	VMOVSD X0, (R10)(R11*8)
+	VMULSD X11, X0, X13
+	VADDSD X13, X8, X8
+	VMOVSD X8, (BX)(R11*8)
+	ADDQ R9, R10
+	INCQ R11
+	CMPQ R11, R12
+	JLT fuDiagRow
 
-r2Done:
+	LEAQ (DI)(R9*4), DI
+	ADDQ $4, CX
+	CMPQ CX, R13
+	JLT fuGroup
+
+fuDone:
 	VZEROUPPER
 	RET
 

@@ -11,11 +11,7 @@ func gramTile4x8(d *float64, ldd int, xj, xk *float64, stride, rows int) {
 	panic("matrix: no vector kernels on this architecture")
 }
 
-func rowCombination(p []float64, w []float64, stride int, u []float64) {
-	panic("matrix: no vector kernels on this architecture")
-}
-
-func symRank2(w []float64, stride int, u, q []float64) {
+func symRank2MulVec(w []float64, stride int, u, q, v, p []float64) {
 	panic("matrix: no vector kernels on this architecture")
 }
 

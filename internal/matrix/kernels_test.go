@@ -88,3 +88,63 @@ func FuzzSinkhornPasses(f *testing.F) {
 		sinkhornPassesBothPaths(t, rng, randSinkhornInput(rng, r, c, int(zeros%4)))
 	})
 }
+
+// symRank2MulVecRef is SymRank2MulVec as its two textbook steps: the rank-2
+// update of the lower triangle, then each p[j] summed by a walk along row j
+// and down column j.
+func symRank2MulVecRef(w []float64, stride int, u, q, v, p []float64) {
+	n := len(v)
+	for j := 0; j < n; j++ {
+		for k := 0; k <= j; k++ {
+			w[j*stride+k] -= u[j]*q[k] + q[j]*u[k]
+		}
+	}
+	for j := 0; j < n; j++ {
+		s := 0.0
+		for k := 0; k <= j; k++ {
+			s += w[j*stride+k] * v[k]
+		}
+		for k := j + 1; k < n; k++ {
+			s += w[k*stride+j] * v[k]
+		}
+		p[j] = s
+	}
+}
+
+// Both kernel paths of the fused Householder pass give the two-step
+// reference's bits on every order from 0 to 21 and at 37 and 64 (groups of
+// four rows and their tails), leave the upper triangle and the row padding
+// alone, and overwrite p rather than add to it.
+func TestSymRank2MulVecMatchesTwoSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	sizes := []int{37, 64}
+	for n := 0; n <= 21; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		stride := n + 3
+		w := make([]float64, n*stride)
+		for i := range w {
+			w[i] = rng.NormFloat64() * float64(int(1)<<rng.Intn(12))
+		}
+		vec := func() []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			return x
+		}
+		u, q, v := vec(), vec(), vec()
+		want, wantP := append([]float64(nil), w...), make([]float64, n)
+		symRank2MulVecRef(want, stride, u, q, v, wantP)
+		for _, vector := range []bool{true, false} {
+			restore := UseVectorKernels(vector)
+			got, p := append([]float64(nil), w...), vec()
+			SymRank2MulVec(got, stride, u, q, v, p)
+			restore()
+			if !vecBitEqual(got, want) || !vecBitEqual(p, wantP) {
+				t.Fatalf("n=%d vector=%v: SymRank2MulVec differs from the two-step reference", n, vector)
+			}
+		}
+	}
+}

@@ -327,16 +327,96 @@ func (m *Dense) ColSumsInto(dst []float64) {
 	}
 }
 
+// SumsInto writes the row sums into rowSums (length rows) and the column
+// sums into colSums (length cols) in one row-major sweep, bit for bit what
+// RowSumsInto and ColSumsInto give.
+func (m *Dense) SumsInto(rowSums, colSums []float64) {
+	if len(rowSums) != m.rows || len(colSums) != m.cols {
+		panic(fmt.Sprintf("matrix: SumsInto needs sums of %d and %d, got %d and %d", m.rows, m.cols, len(rowSums), len(colSums)))
+	}
+	clear(colSums)
+	addSums(m.data, rowSums, colSums, false)
+}
+
+// addSums writes the sums of the len(rowSums) rows of width len(colSums)
+// held in data into rowSums and adds each row into colSums. Four rows go
+// together: each keeps its own sum chain, adding its cells in ascending
+// column order from zero, so the four chains overlap instead of waiting on
+// one another, and each column sum adds the rows in ascending order. The
+// sums are thus bit for bit those of RowSumsInto and ColSumsInto. With
+// check set it also counts the cells equal to zero, and it stops once it
+// meets a cell that is negative or NaN and reports nonNeg false, leaving
+// the sums and the count unspecified; without, it reports 0 and true.
+func addSums(data, rowSums, colSums []float64, check bool) (zeros int, nonNeg bool) {
+	c := len(colSums)
+	i := 0
+	for ; i+4 <= len(rowSums); i += 4 {
+		r0 := data[i*c : (i+1)*c]
+		r1 := data[(i+1)*c : (i+2)*c][:len(r0)]
+		r2 := data[(i+2)*c : (i+3)*c][:len(r0)]
+		r3 := data[(i+3)*c : (i+4)*c][:len(r0)]
+		cs := colSums[:len(r0)]
+		var s0, s1, s2, s3 float64
+		for j, v0 := range r0 {
+			v1, v2, v3 := r1[j], r2[j], r3[j]
+			if check {
+				if !(v0 >= 0 && v1 >= 0 && v2 >= 0 && v3 >= 0) {
+					return zeros, false
+				}
+				if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+					zeros += zeroCount(v0, v1, v2, v3)
+				}
+			}
+			s0 += v0
+			s1 += v1
+			s2 += v2
+			s3 += v3
+			cs[j] = cs[j] + v0 + v1 + v2 + v3
+		}
+		rowSums[i], rowSums[i+1], rowSums[i+2], rowSums[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(rowSums); i++ {
+		row := data[i*c : (i+1)*c]
+		cs := colSums[:len(row)]
+		s := 0.0
+		for j, v := range row {
+			if check {
+				if !(v >= 0) {
+					return zeros, false
+				}
+				if v == 0 {
+					zeros++
+				}
+			}
+			s += v
+			cs[j] += v
+		}
+		rowSums[i] = s
+	}
+	return zeros, true
+}
+
+// zeroCount counts the zeros among four cells.
+func zeroCount(v0, v1, v2, v3 float64) int {
+	n := 0
+	for _, v := range [4]float64{v0, v1, v2, v3} {
+		if v == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // CopySumsInto copies src into dst and forms src's row and column sums in
 // the same row-major sweep: the set-up of a Sinkhorn run, which would
 // otherwise copy, check, count and sum in five passes over the cells. A nil
 // dst takes fresh storage from the pool, as ClonePooled does; any other dst
 // is resized in place, reusing its capacity as Reset does but skipping the
-// zero fill. rowSums and colSums get bit for bit what RowSumsInto and
-// ColSumsInto would (each sum adds its cells in ascending order from zero),
-// and zeros counts the cells equal to zero. The sweep stops at the first
-// cell that is negative or NaN and reports nonNeg false; the content of dst
-// and of the sums is then unspecified.
+// zero fill. rowSums and colSums get bit for bit what SumsInto gives, and
+// zeros counts the cells equal to zero. The sweep goes four rows at a time:
+// it copies a block, then sums it while it is still in cache. It stops
+// once it meets a cell that is negative or NaN and reports nonNeg false;
+// the content of dst, of the sums and of zeros is then unspecified.
 func CopySumsInto(dst, src *Dense, rowSums, colSums []float64) (out *Dense, zeros int, nonNeg bool) {
 	r, c := src.rows, src.cols
 	if len(rowSums) != r || len(colSums) != c {
@@ -350,23 +430,15 @@ func CopySumsInto(dst, src *Dense, rowSums, colSums []float64) (out *Dense, zero
 	dst.data = dst.data[:r*c]
 	dst.rows, dst.cols = r, c
 	clear(colSums)
-	for i := 0; i < r; i++ {
-		in := src.data[i*c : (i+1)*c]
-		row := dst.data[i*c : (i+1)*c]
-		cs := colSums[:len(in)]
-		s := 0.0
-		for j, v := range in {
-			if !(v >= 0) {
-				return dst, zeros, false
-			}
-			if v == 0 {
-				zeros++
-			}
-			row[j] = v
-			s += v
-			cs[j] += v
+	for i := 0; i < r; i += 4 {
+		n := min(4, r-i)
+		block := dst.data[i*c : (i+n)*c]
+		copy(block, src.data[i*c:(i+n)*c])
+		z, ok := addSums(block, rowSums[i:i+n], colSums, true)
+		zeros += z
+		if !ok {
+			return dst, zeros, false
 		}
-		rowSums[i] = s
 	}
 	return dst, zeros, true
 }

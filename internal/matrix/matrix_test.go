@@ -522,6 +522,44 @@ func TestSumsInto(t *testing.T) {
 	}
 }
 
+// SumsInto gives RowSumsInto's and ColSumsInto's bits on every row count
+// mod 4, with values over many decades so a changed order shows.
+func TestSumsIntoOneSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, shape := range [][2]int{{1, 1}, {4, 3}, {5, 7}, {6, 1}, {7, 9}, {8, 8}, {33, 17}, {130, 67}} {
+		r, c := shape[0], shape[1]
+		a := New(r, c)
+		for i := range a.data {
+			a.data[i] = rng.ExpFloat64() * float64(int(1)<<rng.Intn(30))
+		}
+		a.data[0] = math.Copysign(0, -1)
+		wantR, wantC := make([]float64, r), make([]float64, c)
+		a.RowSumsInto(wantR)
+		a.ColSumsInto(wantC)
+		rs, cs := make([]float64, r), make([]float64, c)
+		for j := range cs {
+			cs[j] = 99 // must be overwritten, not accumulated into
+		}
+		a.SumsInto(rs, cs)
+		if !vecBitEqual(rs, wantR) || !vecBitEqual(cs, wantC) {
+			t.Fatalf("%dx%d: SumsInto differs from RowSumsInto/ColSumsInto", r, c)
+		}
+	}
+}
+
+// vecBitEqual reports whether a and b hold the same float64 bits.
+func vecBitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPermuteColsInPlace(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	perm := []int{2, 0, 1}
@@ -606,7 +644,7 @@ func TestScaleRangePanicsOnBadBounds(t *testing.T) {
 // the zero cells, −0 included, and it stops at a negative or NaN cell.
 func TestCopySumsInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 2}, {33, 17}} {
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {4, 3}, {7, 2}, {10, 6}, {33, 17}} {
 		r, c := shape[0], shape[1]
 		a := New(r, c)
 		for i := range a.data {
@@ -633,22 +671,17 @@ func TestCopySumsInto(t *testing.T) {
 			if !ok || zeros != wantZeros || !bitEqual(w, a) {
 				t.Fatalf("%dx%d: ok=%v zeros=%d (want %d), copy equal %v", r, c, ok, zeros, wantZeros, bitEqual(w, a))
 			}
-			for i := range rs {
-				if rs[i] != wantR[i] {
-					t.Fatalf("%dx%d: row sum %d = %v, want %v", r, c, i, rs[i], wantR[i])
-				}
-			}
-			for j := range cs {
-				if cs[j] != wantC[j] {
-					t.Fatalf("%dx%d: column sum %d = %v, want %v", r, c, j, cs[j], wantC[j])
-				}
+			if !vecBitEqual(rs, wantR) || !vecBitEqual(cs, wantC) {
+				t.Fatalf("%dx%d: sums %v / %v, want %v / %v", r, c, rs, cs, wantR, wantC)
 			}
 		}
 		for _, bad := range []float64{-1, math.NaN(), math.Inf(-1)} {
-			b := a.Clone()
-			b.data[len(b.data)-1] = bad
-			if _, _, ok := CopySumsInto(nil, b, make([]float64, r), make([]float64, c)); ok {
-				t.Fatalf("%dx%d: cell %v passed as nonnegative", r, c, bad)
+			for _, at := range []int{0, len(a.data) / 2, len(a.data) - 1} {
+				b := a.Clone()
+				b.data[at] = bad
+				if _, _, ok := CopySumsInto(nil, b, make([]float64, r), make([]float64, c)); ok {
+					t.Fatalf("%dx%d: cell %d = %v passed as nonnegative", r, c, at, bad)
+				}
 			}
 		}
 	}

@@ -244,10 +244,13 @@ func (s *Server) writeBinary(w http.ResponseWriter, contentType string, buf []by
 }
 
 // writeProfile renders a characterize result: the binary profile frame when
-// the client's Accept asks for it, the JSON envelope otherwise.
+// the client's Accept asks for it, the JSON envelope otherwise. The "encode"
+// span covers the frame or DTO build, up to the timings snapshot.
 func (s *Server) writeProfile(w http.ResponseWriter, r *http.Request, p *core.Profile, cached bool) {
+	sp := obs.StartSpan(r.Context(), "encode")
 	if acceptsBinary(r, wire.ContentTypeProfile) {
 		buf, err := wire.AppendProfile(nil, profileToWire(p, cached))
+		sp.End()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 			return
@@ -257,6 +260,7 @@ func (s *Server) writeProfile(w http.ResponseWriter, r *http.Request, p *core.Pr
 	}
 	dto := ProfileToDTO(p, cached)
 	dto.Version = APIVersion
+	sp.End()
 	dto.Timings = s.timingsFor(r)
 	s.writeJSON(w, http.StatusOK, dto)
 }
@@ -330,10 +334,10 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	// the leader publishes.
 	sp = obs.StartSpan(r.Context(), "compute")
 	p, outcome, err := s.characterizeCoalesced(r.Context(), key, env)
-	sp.End()
 	// The coalescing leader runs synchronously in this goroutine, so by now
 	// nothing references the decoded environment; recycle its buffers.
 	releaseEnv(env)
+	sp.End()
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			writeError(w, http.StatusGatewayTimeout, codeTimeout, "request deadline expired")

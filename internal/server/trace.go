@@ -12,7 +12,7 @@ import (
 // This file wires the obs tracing layer into the serving tier: every request
 // gets an ID and an obs.Trace (created in withObservability), handlers record
 // the disjoint top-level stages — "decode", "cache_lookup", "queue_wait",
-// "compute" — and the compute pipeline nests its own spans ("standardize",
+// "compute", "encode" — and the compute pipeline nests its own spans ("standardize",
 // "gram", "eigensolve", "measures", per-item "task") inside "compute" via the
 // request context. After the handler returns, the middleware feeds every span
 // into the hcserved_stage_seconds histogram; when the client asked with
@@ -102,7 +102,7 @@ type StageTimingDTO struct {
 
 // TimingsDTO is the optional stage breakdown of a /v1/* response, present
 // when the request carried ?trace=1. The top-level stages ("decode",
-// "cache_lookup", "queue_wait", "compute") are disjoint and sum to
+// "cache_lookup", "queue_wait", "compute", "encode") are disjoint and sum to
 // approximately totalMs; the remaining spans are nested pipeline detail.
 type TimingsDTO struct {
 	RequestID string           `json:"requestId"`
@@ -111,20 +111,23 @@ type TimingsDTO struct {
 }
 
 // timingsFor builds the timings echo for a request, or nil when the client
-// did not ask for one. Call it last in the handler, after the final stage
-// span has ended, so TotalMs covers everything but the response encoding.
+// did not ask for one. Call it last in the handler, right after the final
+// stage span has ended, so TotalMs covers everything but the JSON
+// serialization of the response and its write. TotalMs is read before the
+// query is parsed and the spans are copied, so that work stays out of it.
 func (s *Server) timingsFor(r *http.Request) *TimingsDTO {
-	if !traceRequested(r) {
-		return nil
-	}
 	tr := obs.FromContext(r.Context())
 	if tr == nil {
+		return nil
+	}
+	total := tr.Elapsed()
+	if !traceRequested(r) {
 		return nil
 	}
 	spans := tr.Spans()
 	d := &TimingsDTO{
 		RequestID: tr.ID(),
-		TotalMs:   tr.Elapsed().Seconds() * 1e3,
+		TotalMs:   total.Seconds() * 1e3,
 		Stages:    make([]StageTimingDTO, len(spans)),
 	}
 	for i, sp := range spans {

@@ -30,7 +30,7 @@ func bigEnvBody(t_, m int) string {
 // whole request wall time. The pipeline spans ("standardize", "gram", ...)
 // nest inside "compute" and are deliberately not in this set.
 var topLevelStages = map[string]bool{
-	"decode": true, "cache_lookup": true, "queue_wait": true, "compute": true,
+	"decode": true, "cache_lookup": true, "queue_wait": true, "compute": true, "encode": true,
 }
 
 func TestTraceTimingsEcho(t *testing.T) {
@@ -70,7 +70,7 @@ func TestTraceTimingsEcho(t *testing.T) {
 			sum += st.Ms
 		}
 	}
-	for _, want := range []string{"decode", "cache_lookup", "queue_wait", "compute", "standardize", "gram", "eigensolve", "measures"} {
+	for _, want := range []string{"decode", "cache_lookup", "queue_wait", "compute", "encode", "standardize", "gram", "eigensolve", "measures"} {
 		if !names[want] {
 			t.Errorf("traced cold characterize missing stage %q (got %v)", want, names)
 		}

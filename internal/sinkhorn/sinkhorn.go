@@ -363,8 +363,7 @@ func Balance(ctx context.Context, a *matrix.Dense, opt Options) (*Result, error)
 	// formed them from the input; a trim or a warm seed changed the cells
 	// since, so the sums are taken again.
 	if trimmed > 0 || warm != nil {
-		w.ColSumsInto(cs)
-		w.RowSumsInto(rs)
+		w.SumsInto(rs, cs)
 	}
 
 	// Reject structurally impossible inputs up front.

@@ -45,8 +45,10 @@ func PeekFrameSize(data []byte) (int, error) {
 	if kind != KindMatrix && kind != KindProfile && kind != KindEnv && kind != KindMutation {
 		return 0, malformedf("unknown frame kind %d", kind)
 	}
-	rows := int(binary.LittleEndian.Uint32(data[6:]))
-	cols := int(binary.LittleEndian.Uint32(data[10:]))
+	// The dims stay uint32 until they pass MaxDim: converted to a 32-bit
+	// int first, 0xffffffff would read as -1 and slip under the limit.
+	rows := binary.LittleEndian.Uint32(data[6:])
+	cols := binary.LittleEndian.Uint32(data[10:])
 	// A mutation frame reuses rows as the op code and cols as the value
 	// count; a value-free op (drop_task, drop_machine) legitimately has
 	// cols == 0, so only the op byte is required to be non-zero here.
@@ -56,16 +58,21 @@ func PeekFrameSize(data []byte) (int, error) {
 	if rows > MaxDim || cols > MaxDim {
 		return 0, malformedf("dimensions %dx%d exceed the %d limit", rows, cols, MaxDim)
 	}
+	r, c := uint64(rows), uint64(cols)
 	var payloadLen uint64
 	switch kind {
 	case KindMatrix:
-		payloadLen = uint64(rows) * uint64(cols) * 8
+		payloadLen = r * c * 8
 	case KindProfile:
-		payloadLen = profileFixedSize + uint64(rows+cols)*8
+		payloadLen = profileFixedSize + (r+c)*8
 	case KindEnv:
-		payloadLen = (uint64(rows)*uint64(cols) + uint64(rows) + uint64(cols)) * 8
+		payloadLen = (r*c + r + c) * 8
 	case KindMutation:
-		payloadLen = 8 + uint64(cols)*8 // index word + values
+		payloadLen = 8 + c*8 // index word + values
+	}
+	// Under MaxDim the size fits a uint64 but not always a 32-bit int.
+	if payloadLen > math.MaxInt-HeaderSize {
+		return 0, malformedf("%dx%d frame of %d payload bytes exceeds this platform's int", rows, cols, payloadLen)
 	}
 	return HeaderSize + int(payloadLen), nil
 }

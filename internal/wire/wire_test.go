@@ -119,6 +119,12 @@ func TestParseHeaderRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[6:], 0xffffffff)
 			binary.LittleEndian.PutUint32(b[10:], 0xffffffff)
 		}),
+		// Dims at the limit: 2⁵⁹ payload bytes pass MaxDim but overflow a
+		// 32-bit int, where the size must not wrap to a small frame.
+		"limit dims": corrupt(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[6:], MaxDim)
+			binary.LittleEndian.PutUint32(b[10:], MaxDim)
+		}),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
